@@ -50,7 +50,7 @@ from .sampler import (
 )
 from .verify import CheckResult, quadrature
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "MotionParams",

@@ -5,8 +5,9 @@ histograms with analytic reference columns), ``verify`` (numeric check
 suites), ``reflect`` (demonstrate the path bijection), and ``kac``
 (diffusion-limit comparison).  Output is CSV or JSON with stable
 schemas; exit status is 0 on success, 1 when a verification check
-fails, 2 on usage errors.  The seed defaults to the TELEGRAPH_SEED
-environment variable when the flag is absent.
+fails, 2 on usage or domain errors, a law value that overflows a float
+included.  The seed defaults to the TELEGRAPH_SEED environment variable
+when the flag is absent.
 """
 
 import argparse
@@ -452,7 +453,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, laws.OutOfScopeError) as exc:
+    except (ValueError, OverflowError, laws.OutOfScopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,10 +17,10 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .bessel import bessel_i_scaled
@@ -72,24 +72,23 @@ class EvalPoint:
     s: Optional[float] = None
 
 
-def _coef(num: list, den: list) -> float:
-    """Product of factorials in `num` over factorials in `den`.
+@functools.lru_cache(maxsize=4096)
+def _coef(num: tuple, den: tuple) -> float:
+    """Product of factorials in `num` over factorials in `den`, memoized.
 
-    A negative argument in `den` makes the whole coefficient 0 (reciprocal
-    Gamma at non-positive integers); arguments stay exact integers up to 30!,
-    then switch to log-space accumulation.
+    Arguments are tuples so the result can be cached: the laws request a few
+    dozen distinct coefficients over millions of scalar calls.  A negative
+    argument in `den` makes the whole coefficient 0 (reciprocal Gamma at
+    non-positive integers); a negative argument in `num` raises ValueError.
+    Up to 30! the value is one true division of exact integer products, which
+    Python rounds correctly; beyond that it is accumulated in log space.
     """
     if any(m < 0 for m in den):
         return 0.0
     if any(m < 0 for m in num):
         raise ValueError("negative factorial argument in numerator")
     if all(m <= _EXACT_FACT_LIMIT for m in num + den):
-        f = Fraction(1)
-        for m in num:
-            f *= math.factorial(m)
-        for m in den:
-            f /= math.factorial(m)
-        return float(f)
+        return math.prod(map(math.factorial, num)) / math.prod(map(math.factorial, den))
     lg = sum(math.lgamma(m + 1) for m in num) - sum(math.lgamma(m + 1) for m in den)
     return math.exp(lg)
 
@@ -111,13 +110,13 @@ def position_pdf(sign: int, n: int, x: float, t: float, c: float) -> float:
     if n % 2 == 0:
         k = n // 2
         return (
-            _coef([2 * k], [k, k - 1])
+            _coef((2 * k,), (k, k - 1))
             * (ct * ct - x * x) ** (k - 1)
             * (ct + sign * x)
             / (2 * ct) ** (2 * k)
         )
     k = (n - 1) // 2
-    return _coef([2 * k + 1], [k, k]) * (ct * ct - x * x) ** k / (2 * ct) ** (2 * k + 1)
+    return _coef((2 * k + 1,), (k, k)) * (ct * ct - x * x) ** k / (2 * ct) ** (2 * k + 1)
 
 
 def position_pdf_unsigned(n: int, x: float, t: float, c: float) -> float:
@@ -128,7 +127,7 @@ def position_pdf_unsigned(n: int, x: float, t: float, c: float) -> float:
     if n % 2 == 0:
         k = n // 2
         return (
-            _coef([2 * k], [k, k - 1])
+            _coef((2 * k,), (k, k - 1))
             * (ct * ct - x * x) ** (k - 1)
             * ct
             / (2 * ct) ** (2 * k)
@@ -248,7 +247,7 @@ def joint_pdf(
     w = 2 * beta - x  # in (beta, ct)
     if n % 2 == 1 and v0 is VelocitySign.PLUS:
         k = (n - 1) // 2
-        cb = _coef([2 * k + 1], [k, k - 1])
+        cb = _coef((2 * k + 1,), (k, k - 1))
         if cb == 0.0:  # n = 1 carries no absolutely continuous mass
             return 0.0
         return cb * w * (ct * ct - w * w) ** (k - 1) / (
@@ -258,13 +257,13 @@ def joint_pdf(
         k = n // 2
         first = k * (ct * ct - w * w) ** (k - 1)
         second = 0.0 if k == 1 else (k - 1) * (ct - w) ** k * (ct + w) ** (k - 2)
-        return _coef([2 * k], [k, k - 1]) * (first - second) / (
+        return _coef((2 * k,), (k, k - 1)) * (first - second) / (
             2.0 ** (2 * k - 1) * ct ** (2 * k)
         )
     k = (n - 1) // 2  # negative start, odd switch count
     denom = 2.0 ** (2 * k) * ct ** (2 * k + 1)
-    first = _coef([2 * k + 1], [k, k - 1]) * (ct - w) ** k * (ct + w) ** (k - 1)
-    cb = _coef([2 * k + 1], [k + 1, k - 2])
+    first = _coef((2 * k + 1,), (k, k - 1)) * (ct - w) ** k * (ct + w) ** (k - 1)
+    cb = _coef((2 * k + 1,), (k + 1, k - 2))
     second = 0.0 if cb == 0.0 else cb * (ct - w) ** (k + 1) * (ct + w) ** (k - 2)
     return (first - second) / denom
 
@@ -291,7 +290,7 @@ def joint_atom_max_equals_position_pdf(
     if v0 is VelocitySign.PLUS and n % 2 == 0:
         k = n // 2
         return (
-            _coef([2 * k], [k, k - 1])
+            _coef((2 * k,), (k, k - 1))
             * 2
             * beta
             * (ct * ct - beta * beta) ** (k - 1)
@@ -385,7 +384,7 @@ def joint_cdf_in_max_pdf(
     if n % 2 == 0:
         return position_pdf(-1, n, x, t, c) - position_pdf(-1, n, w, t, c)
     k = (n - 1) // 2
-    sub = _coef([2 * k + 1], [k + 1, k - 1])
+    sub = _coef((2 * k + 1,), (k + 1, k - 1))
     correction = (
         0.0 if sub == 0.0 else sub * (ct - w) ** (k + 1) * (ct + w) ** (k - 1)
         / (2 * ct) ** (2 * k + 1)
@@ -417,7 +416,7 @@ def joint_tail_in_position_pdf(
         k = n // 2
         return (
             2
-            * _coef([2 * k], [k, k - 1])
+            * _coef((2 * k,), (k, k - 1))
             * (ct - w) ** k
             * (ct + w) ** (k - 1)
             / (2 * ct) ** (2 * k)
@@ -425,11 +424,11 @@ def joint_tail_in_position_pdf(
     k = (n - 1) // 2
     if v0 is VelocitySign.PLUS:
         return (
-            _coef([2 * k + 1], [k, k])
+            _coef((2 * k + 1,), (k, k))
             * (ct * ct - w * w) ** k
             / (2.0 ** (2 * k) * ct ** (2 * k + 1))
         )
-    cb = _coef([2 * k + 1], [k + 1, k - 1])
+    cb = _coef((2 * k + 1,), (k + 1, k - 1))
     if cb == 0.0:
         return 0.0
     return cb * (ct - w) ** (k + 1) * (ct + w) ** (k - 1) / (
@@ -559,18 +558,18 @@ def fpt_pdf(
         for j in range(1, k + 1):
             e = n - 2 * j
             acc += (
-                _coef([], [j, j - 1, e])
+                _coef((), (j, j - 1, e))
                 * (t - s) ** e
                 * disc ** (j - 1)
                 / (2 * c) ** (2 * j - 1)
             )
-        return _coef([n], []) * beta / t**n * acc
+        return _coef((n,), ()) * beta / t**n * acc
     # negative start
     acc = 0.0
     k = (n - 1) // 2 if n % 2 == 1 else n // 2
     for j in range(0, k + 1):
         e = n - 1 - 2 * j
-        rec = _coef([], [j, j + 1, e])
+        rec = _coef((), (j, j + 1, e))
         if rec == 0.0:
             continue
         if j == 0:
@@ -578,7 +577,7 @@ def fpt_pdf(
         else:
             poly = disc ** (j - 1) * (c * s - beta) * (c * s + (2 * j + 1) * beta)
         acc += rec * (t - s) ** e * poly / (2.0 ** (2 * j + 1) * c ** (2 * j))
-    return _coef([n], []) / t**n * acc
+    return _coef((n,), ()) / t**n * acc
 
 
 def fpt_density(
@@ -657,7 +656,7 @@ def fpt_endpoint_pdf(
         k = n // 2
         return (
             2
-            * _coef([2 * k - 1], [k - 1, k - 1])
+            * _coef((2 * k - 1,), (k - 1, k - 1))
             * disc ** (k - 1)
             / (2 * ct) ** (2 * k - 1)
             * beta
@@ -696,17 +695,17 @@ def _return_ac_sum(n: int, s: float, t: float) -> float:
         k = (n - 1) // 2
         js = range(1, k + 1)
         exp_of = lambda j: 2 * k - 2 * j
-        pref = _coef([2 * k + 1], []) / t ** (2 * k + 1)
+        pref = _coef((2 * k + 1,), ()) / t ** (2 * k + 1)
     else:
         k = n // 2
         js = range(1, k)
         exp_of = lambda j: 2 * k - 1 - 2 * j
-        pref = _coef([2 * k], []) / t ** (2 * k)
+        pref = _coef((2 * k,), ()) / t ** (2 * k)
     acc = 0.0
     for j in js:
         e = exp_of(j)
         acc += (
-            _coef([], [j, j + 1, e])
+            _coef((), (j, j + 1, e))
             * (t - s) ** e
             * s ** (2 * j)
             / 2.0 ** (2 * j + 1)

@@ -72,6 +72,14 @@ class TestEval:
         assert code == 2
         assert err
 
+    def test_overflowing_law_value_is_domain_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "eval", "--law", "fpt", "--n", "200", "--beta", "0.3", "--s", "0.5"
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_values_are_plain_decimal(self, capsys):
         _, out, _ = run_cli(
             capsys, "eval", "--law", "position", "--n", "2", "--x-grid=-0.9:0.9:7"

@@ -1,6 +1,9 @@
+import itertools
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from telegraph import Conditioning, MotionParams, VelocitySign, quadrature
@@ -9,6 +12,52 @@ from telegraph import laws
 PARAMS = MotionParams(c=1.0, lam=1.0)
 PLUS = VelocitySign.PLUS
 MINUS = VelocitySign.MINUS
+
+
+def _fraction_coef(num, den):
+    # exact rational reference for laws._coef
+    if any(m < 0 for m in den):
+        return 0.0
+    f = Fraction(1)
+    for m in num:
+        f *= math.factorial(m)
+    for m in den:
+        f /= math.factorial(m)
+    return float(f)
+
+
+def _coef_args(values):
+    # the argument shapes the laws request: (a,)/(b, c), ()/(a, b, c), (a,)/()
+    for a, b, c in itertools.product(values, repeat=3):
+        yield (a,), (b, c)
+        yield (), (a, b, c)
+    for a in values:
+        yield (a,), ()
+
+
+class TestCoefficients:
+    def test_exact_range_matches_fraction_reference_to_the_bit(self):
+        for num, den in _coef_args(range(31)):
+            assert laws._coef(num, den).hex() == _fraction_coef(num, den).hex(), (num, den)
+
+    def test_log_space_range_matches_fraction_reference(self):
+        values = sorted({*range(0, 61, 3), 31})
+        for num, den in _coef_args(values):
+            if max(num + den) <= 30:
+                continue
+            assert laws._coef(num, den) == pytest.approx(
+                _fraction_coef(num, den), rel=1e-12, abs=0.0
+            ), (num, den)
+
+    def test_negative_denominator_argument_gives_zero(self):
+        assert laws._coef((3,), (1, -1)) == 0.0
+        assert laws._coef((), (-2,)) == 0.0
+        assert laws._coef((100,), (40, -1)) == 0.0
+
+    def test_negative_numerator_argument_raises(self):
+        for _ in range(2):  # a raised error is not cached
+            with pytest.raises(ValueError):
+                laws._coef((-1,), (2,))
 
 
 class TestPositionLaw:
@@ -172,6 +221,22 @@ class TestJointLaw:
     def test_single_switch_diagonal_density(self):
         # upward start, one switch: max == (t + endpoint/c)/2 deterministic line
         assert laws.joint_atom_diagonal_pdf(PLUS, 1, 0.3, 1.0, 1.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tail_in_position_derivative_is_joint_density(self, v0, n):
+        # d/dx P{M in dbeta, T < x} = joint density at (beta, x)
+        t = c = 1.0
+        h = 1e-5
+        worst = 0.0
+        for beta in np.linspace(0.0, c * t, 12)[1:-1]:
+            for x in np.linspace(2 * beta - c * t, beta, 12)[1:-1]:
+                slope = (
+                    laws.joint_tail_in_position_pdf(v0, n, beta, x + h, t, c)
+                    - laws.joint_tail_in_position_pdf(v0, n, beta, x - h, t, c)
+                ) / (2 * h)
+                worst = max(worst, abs(slope - laws.joint_pdf(v0, n, beta, x, t, c)))
+        assert worst <= 1e-7
 
     def test_joint_cdf_wrapper_matches_pdf_integral(self):
         beta, t, c = 0.5, 1.0, 1.0
