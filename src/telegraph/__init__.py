@@ -22,7 +22,6 @@ from .path import (
 )
 from .laws import (
     Conditioning,
-    EvalPoint,
     LawValue,
     OutOfScopeError,
     evaluate_query,
@@ -62,7 +61,6 @@ __all__ = [
     "first_passage",
     "first_return",
     "Conditioning",
-    "EvalPoint",
     "LawValue",
     "OutOfScopeError",
     "evaluate_query",

@@ -11,8 +11,8 @@ when the flag is absent.
 """
 
 import argparse
+import itertools
 import json
-import math
 import os
 import sys
 from typing import List, Optional
@@ -89,109 +89,45 @@ def _default_seed(value: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-_EVAL_VARS = {
-    "position": ("x",),
-    "max": ("beta",),
-    "max_cdf": ("beta",),
-    "joint": ("beta", "x"),
-    "joint_cdf": ("beta", "x"),
-    "fpt": ("s",),
-    "return": ("s",),
-    "return_printed": ("s",),
-}
+_CELLS = ("beta", "x", "s")
 
 
 def cmd_eval(args) -> int:
-    law = args.law
-    if law == "joint" and args.n is None:
-        free = {
-            "density": ("beta", "x"),
-            "max_equals_position": ("beta",),
-            "diagonal": ("beta",),
-            "max_zero": ("x",),
-            "corner": (),
-        }[args.component]
-    elif law in ("fpt", "return") and args.n is None:
-        free = ()  # the unconditional laws are densities in t itself
-    else:
-        free = _EVAL_VARS[law]
-    values = {}
-    for var in ("x", "beta", "s"):
-        grid = getattr(args, f"{var}_grid")
-        point = getattr(args, var)
-        if grid is not None:
-            values[var] = [float(v) for v in grid]
-        elif point is not None:
-            values[var] = [point]
-    for var in free:
-        if var not in values:
-            print(f"eval --law {law} needs --{var} or --{var}-grid", file=sys.stderr)
+    law = laws.resolve(args.law, args.v0, args.n, args.t, args.c, args.lam,
+                       args.component, args.beta)
+    grids = []
+    for var in law.free:
+        grid, point = getattr(args, f"{var}_grid"), getattr(args, var)
+        if grid is None and point is None:
+            print(f"eval --law {args.law} needs --{var} or --{var}-grid", file=sys.stderr)
             return 2
-
-    points = [{}]
-    for var in free:
-        points = [{**p, var: v} for p in points for v in values[var]]
-
-    base = {
-        "v0": args.v0,
-        "n": args.n,
-        "law": law,
-        "t": args.t,
-        "c": args.c,
-        "lambda": getattr(args, "lam"),
-    }
-    if law == "joint":
-        base["component"] = args.component
-    if law == "fpt":
-        if args.beta is None:
-            print("eval --law fpt needs --beta", file=sys.stderr)
-            return 2
-        base["beta"] = args.beta
-
-    rows = []
-    for point in points:
-        query = {**base, **point}
-        if law == "fpt" and "s" in point:
-            query["s"] = point["s"]
-        try:
-            result = laws.evaluate_query(query)
-        except (laws.OutOfScopeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        rows.append({**{v: point.get(v) for v in ("beta", "x", "s")}, **result})
-
+        grids.append([point] if grid is None else [float(v) for v in grid])
+    points = list(itertools.product(*grids))
+    values = [law.value(*point) for point in points]
     # singular components reported as separate atom rows
-    cond = laws.Conditioning(VelocitySign.from_str(args.v0), args.n)
-    params = MotionParams(args.c, getattr(args, "lam"))
-    if law == "max" and args.n is not None:
-        atom = laws.max_atom_zero(cond)
-        rows.append({"beta": 0.0, "x": None, "s": None, "kind": atom.kind,
-                     "value": atom.value, "at": atom.at})
-    if law == "fpt":
-        if args.n is None:
-            atom = laws.fpt_atom_unconditional(cond.v0, args.beta, params)
-        else:
-            atom = laws.fpt_atom(cond, args.beta, args.t, params)
-        rows.append({"beta": args.beta, "x": None, "s": args.beta / args.c,
-                     "kind": atom.kind, "value": atom.value, "at": atom.at})
+    atoms = [(*cells, atom.kind, atom.value, atom.at) for cells, atom in law.atoms]
 
     if args.format == "json":
-        payload = [{**base, **row} for row in rows]
+        base = {"v0": args.v0, "n": args.n, "law": args.law, "t": args.t, "c": args.c,
+                "lambda": args.lam}
+        if args.law == "joint":
+            base["component"] = args.component
+        rows = [(*map(dict(zip(law.free, point)).get, _CELLS), law.kind, value,
+                 law.at.format(*point)) for point, value in zip(points, values)]
+        keys = (*_CELLS, "kind", "value", "at")
+        payload = [{**base, **dict(zip(keys, row))} for row in rows + atoms]
         _emit([json.dumps(payload, indent=2)], args.output)
         return 0
-    header = "law,v0,n,t,c,lambda,beta,x,s,kind,value,at"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    law, args.v0, args.n, args.t, args.c, getattr(args, "lam"),
-                    row.get("beta"), row.get("x"), row.get("s"),
-                    row["kind"], row["value"], row["at"],
-                )
-            )
-        )
+    # every grid row is one template filled with the free variables, formatted
+    # once per grid value, and the law value: field i is free variable i
+    prefix = ",".join(map(_csv_cell, (args.law, args.v0, args.n, args.t, args.c, args.lam))) + ","
+    slots = {var: f"{{{i}}}" for i, var in enumerate(law.free)}
+    row = (prefix + ",".join(slots.get(var, "") for var in _CELLS)
+           + f",{law.kind},{{{len(law.free)}}},{law.at}")
+    lines = ["law,v0,n,t,c,lambda,beta,x,s,kind,value,at"]
+    texts = itertools.product(*([repr(v) for v in grid] for grid in grids))
+    lines += [row.format(*text, value) for text, value in zip(texts, values)]
+    lines += [prefix + ",".join(map(_csv_cell, atom)) for atom in atoms]
     _emit(lines, args.output)
     return 0
 
@@ -200,33 +136,23 @@ def cmd_eval(args) -> int:
 # simulate
 
 
-def _analytic_density(args, v0: VelocitySign):
-    """Conditional reference density for the simulated functional, if known."""
-    if args.n is None:
-        return None
-    n, t, c = args.n, args.t, args.c
-    if args.functional == "position":
-        return lambda x: laws.position_pdf(v0.value_sign, n, x, t, c)
-    if args.functional == "max":
-        return lambda b: laws.max_pdf(v0, n, b, t, c)
-    if args.functional == "fpt":
-        return lambda s: laws.fpt_pdf(v0, n, args.beta, s, t, c)
-    if args.functional == "return":
-        return lambda s: laws.return_pdf_corrected(n, s, t)
-    return None
-
-
 def cmd_simulate(args) -> int:
     v0 = VelocitySign.from_str(args.v0)
     params = MotionParams(args.c, getattr(args, "lam"))
     if args.functional == "fpt" and args.beta is None:
         print("simulate --functional fpt needs --beta", file=sys.stderr)
         return 2
+    analytic = None  # the conditional reference density, where the law has one
+    if args.n is not None:
+        law = laws.resolve(args.functional, args.v0, args.n, args.t, args.c, args.lam,
+                           beta=args.beta)
+        if law.kind == "density":
+            analytic = law.pdf
     seed = _default_seed(args.seed)
     bins = mc_density_histogram(
         args.functional, v0, args.n, params, args.t, args.bins, args.range,
         args.reps, seed=seed, threads=args.threads, beta=args.beta,
-        analytic=_analytic_density(args, v0),
+        analytic=analytic,
     )
     lines = ["bin_lo,bin_hi,estimate,std_error,analytic,z"]
     for b in bins:
@@ -392,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("eval", help="evaluate a law on a grid of points")
-    p.add_argument("--law", required=True, choices=sorted(_EVAL_VARS))
+    p.add_argument("--law", required=True, choices=sorted({law for law, _ in laws.LAWS}))
     p.add_argument("--v0", default="+", choices=["+", "-"], help="initial velocity sign")
     p.add_argument("--n", type=int, help="switch count; omit for the unconditional law")
     p.add_argument("--component", default="density",
-                   choices=["density", "max_equals_position", "diagonal", "max_zero", "corner"],
-                   help="joint-law component (law=joint only)")
+                   choices=laws.JOINT_COMPONENTS,
+                   help="joint-law component (law=joint only), with or without --n")
     for var in ("x", "beta", "s"):
         p.add_argument(f"--{var}", type=float)
         p.add_argument(f"--{var}-grid", type=_grid_spec, metavar="LO:HI:COUNT")

@@ -13,6 +13,10 @@ Conventions
   unspecified rather than zero.
 * Unconditional laws are evaluated through the scaled primitive
   exp(-z) * I_r(z), so no intermediate exp overflow can occur.
+
+The table ``LAWS`` holds every law a query can name.  ``resolve`` binds a
+query's fixed part once and returns a scalar function of the law's free
+variables; ``evaluate_query`` and ``telegraph eval`` both go through it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .bessel import bessel_i_scaled
 from .params import MotionParams, VelocitySign
@@ -60,16 +64,6 @@ class LawValue:
             raise ValueError(f"negative law value {self.value} ({self.at})")
         if self.kind in ("atom", "cdf") and self.value > 1 + 1e-12:
             raise ValueError(f"{self.kind} value {self.value} exceeds 1 ({self.at})")
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """Free variables of a law query; only the fields the law needs."""
-
-    t: float
-    x: Optional[float] = None
-    beta: Optional[float] = None
-    s: Optional[float] = None
 
 
 @functools.lru_cache(maxsize=4096)
@@ -135,19 +129,6 @@ def position_pdf_unsigned(n: int, x: float, t: float, c: float) -> float:
     return position_pdf(+1, n, x, t, c)
 
 
-def position_density(
-    cond: Conditioning, x: float, t: float, params: MotionParams
-) -> LawValue:
-    """Conditional position law; for n = 0 the whole mass is an atom at
-    sign(v0)*ct."""
-    n = _require_n(cond)
-    if n == 0:
-        pt = cond.v0.value_sign * params.c * t
-        return LawValue("atom", 1.0, at=f"T(t) = {pt}")
-    val = position_pdf(cond.v0.value_sign, n, x, t, params.c)
-    return LawValue("density", val, at=f"T(t) = {x}")
-
-
 # ---------------------------------------------------------------------------
 # maximum laws
 # ---------------------------------------------------------------------------
@@ -168,20 +149,6 @@ def max_pdf(v0: VelocitySign, n: int, beta: float, t: float, c: float) -> float:
         * (ct + beta) ** (k - 1)
         * ((2 * k + 1) * ct + beta)
         / (2 * ct) ** (2 * k + 1)
-    )
-
-
-def max_density(
-    cond: Conditioning, beta: float, t: float, params: MotionParams
-) -> LawValue:
-    n = _require_n(cond)
-    ct = params.c * t
-    if n == 0:
-        if cond.v0 is VelocitySign.PLUS:
-            return LawValue("atom", 1.0, at=f"M(t) = {ct}")
-        return LawValue("atom", 1.0, at="M(t) = 0")
-    return LawValue(
-        "density", max_pdf(cond.v0, n, beta, t, params.c), at=f"M(t) = {beta}"
     )
 
 
@@ -219,13 +186,6 @@ def max_cdf_value(v0: VelocitySign, n: int, beta: float, t: float, c: float) -> 
     even = max_cdf_value(VelocitySign.MINUS, 2 * k, beta, t, c)
     odd_plus = max_cdf_value(VelocitySign.PLUS, 2 * k + 1, beta, t, c)
     return (2 * k + 1) / (2 * k + 2) * even + odd_plus / (2 * k + 2)
-
-
-def max_cdf(cond: Conditioning, beta: float, t: float, params: MotionParams) -> LawValue:
-    n = _require_n(cond)
-    return LawValue(
-        "cdf", max_cdf_value(cond.v0, n, beta, t, params.c), at=f"M(t) <= {beta}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +228,6 @@ def joint_pdf(
     return (first - second) / denom
 
 
-def joint_density(
-    cond: Conditioning, beta: float, x: float, t: float, params: MotionParams
-) -> LawValue:
-    n = _require_n(cond)
-    return LawValue(
-        "density",
-        joint_pdf(cond.v0, n, beta, x, t, params.c),
-        at=f"M = {beta}, T = {x}",
-    )
-
-
 def joint_atom_max_equals_position_pdf(
     v0: VelocitySign, n: int, beta: float, t: float, c: float
 ) -> float:
@@ -308,17 +257,6 @@ def joint_atom_max_equals_position_pdf(
             / (2 * ct) ** (2 * k + 1)
         )
     return 0.0
-
-
-def joint_atom_max_equals_position(
-    cond: Conditioning, beta: float, t: float, params: MotionParams
-) -> LawValue:
-    n = _require_n(cond)
-    return LawValue(
-        "density",
-        joint_atom_max_equals_position_pdf(cond.v0, n, beta, t, params.c),
-        at=f"M = T(t) = {beta}",
-    )
 
 
 def joint_atom_diagonal_pdf(
@@ -353,17 +291,6 @@ def joint_atom_max_zero_pdf(
     )
 
 
-def joint_atom_max_zero(
-    cond: Conditioning, x: float, t: float, params: MotionParams
-) -> LawValue:
-    n = _require_n(cond)
-    return LawValue(
-        "density",
-        joint_atom_max_zero_pdf(cond.v0, n, x, t, params.c),
-        at=f"M = 0, T(t) = {x}",
-    )
-
-
 def joint_cdf_in_max_pdf(
     v0: VelocitySign, n: int, beta: float, x: float, t: float, c: float
 ) -> float:
@@ -390,17 +317,6 @@ def joint_cdf_in_max_pdf(
         / (2 * ct) ** (2 * k + 1)
     )
     return position_pdf(-1, n, x, t, c) - correction
-
-
-def joint_cdf_in_max(
-    cond: Conditioning, beta: float, x: float, t: float, params: MotionParams
-) -> LawValue:
-    n = _require_n(cond)
-    return LawValue(
-        "density",
-        joint_cdf_in_max_pdf(cond.v0, n, beta, x, t, params.c),
-        at=f"M <= {beta}, T(t) = {x}",
-    )
 
 
 def joint_tail_in_position_pdf(
@@ -436,21 +352,14 @@ def joint_tail_in_position_pdf(
     )
 
 
-def joint_tail_in_position(
-    cond: Conditioning, beta: float, x: float, t: float, params: MotionParams
-) -> LawValue:
-    n = _require_n(cond)
-    return LawValue(
-        "density",
-        joint_tail_in_position_pdf(cond.v0, n, beta, x, t, params.c),
-        at=f"M = {beta}, T(t) < {x}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # unconditional joint laws (Bessel forms)
 # ---------------------------------------------------------------------------
 
+#: parts of the joint law: the density on the wedge, the lines M = T and
+#: T = 2M - ct (positive start only), the slice M = 0 (negative start only)
+#: and, without a switch count, the corner atom at (ct, ct) resp. (0, -ct)
+#: of mass exp(-lam*t)
 JOINT_COMPONENTS = ("density", "max_equals_position", "diagonal", "max_zero", "corner")
 
 
@@ -459,77 +368,76 @@ def _e_bessel(r: int, z: float, lam_t: float) -> float:
     return math.exp(z - lam_t) * bessel_i_scaled(r, z)
 
 
-def joint_unconditional(
-    v0: VelocitySign,
-    component: str,
-    t: float,
-    params: MotionParams,
-    beta: Optional[float] = None,
-    x: Optional[float] = None,
-) -> LawValue:
-    """Joint law of (M(t), T(t)) given only the starting sign, by component:
-
-    - "density": continuous density in (beta, x) on the wedge;
-    - "max_equals_position": density in beta on the line M = T(t);
-    - "diagonal" (positive start): density in beta on the line T = 2M - ct;
-    - "max_zero" (negative start): density in x on the slice M = 0;
-    - "corner": the point atom at (ct, ct) resp. (0, -ct), mass exp(-lam*t).
-    """
+def joint_pdf_unconditional(
+    v0: VelocitySign, beta: float, x: float, t: float, params: MotionParams
+) -> float:
+    """Continuous density of (M(t), T(t)) in (beta, x) on the wedge, given
+    only the starting sign."""
     c, lam = params.c, params.lam
     ct, lam_t = c * t, params.lam * t
-    if component == "corner":
-        at = f"M = T = {ct}" if v0 is VelocitySign.PLUS else f"M = 0, T = {-ct}"
-        return LawValue("atom", math.exp(-lam_t), at=at)
-    if component == "diagonal":
-        if v0 is not VelocitySign.PLUS:
-            raise ValueError("diagonal component exists only for a positive start")
-        val = lam * math.exp(-lam_t) / c if 0.0 < beta < ct else 0.0
-        return LawValue("density", val, at=f"M = {beta}, T = 2M - ct")
-    if component == "max_equals_position":
-        if not (0.0 < beta < ct):
-            return LawValue("density", 0.0, at=f"M = T = {beta}")
-        z = lam / c * math.sqrt(ct * ct - beta * beta)
-        if v0 is VelocitySign.PLUS:
-            val = lam * beta / (c * math.sqrt(ct * ct - beta * beta)) * _e_bessel(1, z, lam_t)
-        else:
-            val = (
-                lam * beta / c * _e_bessel(0, z, lam_t)
-                + math.sqrt((ct - beta) / (ct + beta)) * _e_bessel(1, z, lam_t)
-            ) / (ct + beta)
-        return LawValue("density", val, at=f"M = T = {beta}")
-    if component == "max_zero":
-        if v0 is not VelocitySign.MINUS:
-            raise ValueError("max_zero component exists only for a negative start")
-        if not (-ct < x <= 0.0):
-            return LawValue("density", 0.0, at=f"M = 0, T = {x}")
-        z = lam / c * math.sqrt(ct * ct - x * x)
-        val = -lam * x / (c * (ct - x)) * _e_bessel(0, z, lam_t) + (
-            (ct + x) / (ct - x) - lam * x / c
-        ) / math.sqrt(ct * ct - x * x) * _e_bessel(1, z, lam_t)
-        return LawValue("density", val, at=f"M = 0, T = {x}")
-    if component == "density":
-        if not _in_wedge(beta, x, ct):
-            return LawValue("density", 0.0, at=f"M = {beta}, T = {x}")
-        w = 2 * beta - x
-        z = lam / c * math.sqrt(ct * ct - w * w)
-        i0 = _e_bessel(0, z, lam_t)
-        i1 = _e_bessel(1, z, lam_t)
-        if v0 is VelocitySign.PLUS:
-            val = (
-                lam
-                / (c * math.sqrt(ct + w))
-                * (
-                    lam * w / (c * math.sqrt(ct + w)) * i0
-                    + (lam * w / (c * math.sqrt(ct - w)) + math.sqrt(ct - w) / (ct + w)) * i1
-                )
+    if not _in_wedge(beta, x, ct):
+        return 0.0
+    w = 2 * beta - x
+    z = lam / c * math.sqrt(ct * ct - w * w)
+    i0 = _e_bessel(0, z, lam_t)
+    i1 = _e_bessel(1, z, lam_t)
+    if v0 is VelocitySign.PLUS:
+        return (
+            lam
+            / (c * math.sqrt(ct + w))
+            * (
+                lam * w / (c * math.sqrt(ct + w)) * i0
+                + (lam * w / (c * math.sqrt(ct - w)) + math.sqrt(ct - w) / (ct + w)) * i1
             )
-        else:
-            q = math.sqrt((ct - w) / (ct + w))
-            i2 = _e_bessel(2, z, lam_t)
-            i3 = _e_bessel(3, z, lam_t)
-            val = lam * lam / (2 * c * c) * (i0 + q * i1 - q * q * i2 - q**3 * i3)
-        return LawValue("density", val, at=f"M = {beta}, T = {x}")
-    raise ValueError(f"unknown joint component {component!r}; one of {JOINT_COMPONENTS}")
+        )
+    q = math.sqrt((ct - w) / (ct + w))
+    i2 = _e_bessel(2, z, lam_t)
+    i3 = _e_bessel(3, z, lam_t)
+    return lam * lam / (2 * c * c) * (i0 + q * i1 - q * q * i2 - q**3 * i3)
+
+
+def joint_atom_max_equals_position_pdf_unconditional(
+    v0: VelocitySign, beta: float, t: float, params: MotionParams
+) -> float:
+    """Density in beta of the line M(t) = T(t) = beta, given only V(0)."""
+    c, lam = params.c, params.lam
+    ct, lam_t = c * t, params.lam * t
+    if not (0.0 < beta < ct):
+        return 0.0
+    z = lam / c * math.sqrt(ct * ct - beta * beta)
+    if v0 is VelocitySign.PLUS:
+        return lam * beta / (c * math.sqrt(ct * ct - beta * beta)) * _e_bessel(1, z, lam_t)
+    return (
+        lam * beta / c * _e_bessel(0, z, lam_t)
+        + math.sqrt((ct - beta) / (ct + beta)) * _e_bessel(1, z, lam_t)
+    ) / (ct + beta)
+
+
+def joint_atom_diagonal_pdf_unconditional(
+    v0: VelocitySign, beta: float, t: float, params: MotionParams
+) -> float:
+    """Density in beta of the line T(t) = 2M(t) - ct, positive start only."""
+    if v0 is not VelocitySign.PLUS:
+        raise ValueError("diagonal component exists only for a positive start")
+    c, lam = params.c, params.lam
+    ct, lam_t = c * t, params.lam * t
+    return lam * math.exp(-lam_t) / c if 0.0 < beta < ct else 0.0
+
+
+def joint_atom_max_zero_pdf_unconditional(
+    v0: VelocitySign, x: float, t: float, params: MotionParams
+) -> float:
+    """Density in x on the slice M(t) = 0, negative start only."""
+    if v0 is not VelocitySign.MINUS:
+        raise ValueError("max_zero component exists only for a negative start")
+    c, lam = params.c, params.lam
+    ct, lam_t = c * t, params.lam * t
+    if not (-ct < x <= 0.0):
+        return 0.0
+    z = lam / c * math.sqrt(ct * ct - x * x)
+    return -lam * x / (c * (ct - x)) * _e_bessel(0, z, lam_t) + (
+        (ct + x) / (ct - x) - lam * x / c
+    ) / math.sqrt(ct * ct - x * x) * _e_bessel(1, z, lam_t)
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +488,6 @@ def fpt_pdf(
     return _coef((n,), ()) / t**n * acc
 
 
-def fpt_density(
-    cond: Conditioning, beta: float, s: float, t: float, params: MotionParams
-) -> LawValue:
-    n = _require_n(cond)
-    return LawValue(
-        "density", fpt_pdf(cond.v0, n, beta, s, t, params.c), at=f"F_beta = {s}"
-    )
-
-
 def fpt_atom(cond: Conditioning, beta: float, t: float, params: MotionParams) -> LawValue:
     """Mass of {F_beta = beta/c}; zero for a negative start."""
     n = _require_n(cond)
@@ -619,14 +518,6 @@ def fpt_pdf_unconditional(
         lam * beta * _e_bessel(0, z, lam_t)
         + c * math.sqrt((ct - beta) / (ct + beta)) * _e_bessel(1, z, lam_t)
     ) / (ct + beta)
-
-
-def fpt_density_unconditional(
-    v0: VelocitySign, beta: float, t: float, params: MotionParams
-) -> LawValue:
-    return LawValue(
-        "density", fpt_pdf_unconditional(v0, beta, t, params), at=f"F_beta = {t}"
-    )
 
 
 def fpt_atom_unconditional(
@@ -673,15 +564,6 @@ def fpt_endpoint_pdf(
         * (ct - beta)
         * (ct + (2 * k + 1) * beta)
         / (c ** (2 * k) * (2 * t) ** (2 * k + 1))
-    )
-
-
-def fpt_endpoint_identity(
-    cond: Conditioning, beta: float, t: float, params: MotionParams
-) -> LawValue:
-    n = _require_n(cond)
-    return LawValue(
-        "density", fpt_endpoint_pdf(cond.v0, n, beta, t, params.c), at="F_beta = t"
     )
 
 
@@ -747,20 +629,6 @@ def return_pdf_corrected(n: int, s: float, t: float) -> float:
     return ac + atom_term
 
 
-def return_density_printed(
-    cond: Conditioning, s: float, t: float, params: MotionParams
-) -> LawValue:
-    n = _require_n(cond)
-    return LawValue("density", return_pdf_printed(n, s, t), at=f"F_0 = {s}")
-
-
-def return_density_corrected(
-    cond: Conditioning, s: float, t: float, params: MotionParams
-) -> LawValue:
-    n = _require_n(cond)
-    return LawValue("density", return_pdf_corrected(n, s, t), at=f"F_0 = {s}")
-
-
 def return_pdf_unconditional(t: float, params: MotionParams) -> float:
     """Density exp(-lam*t) I_1(lam*t) / t of the first return to the origin;
     independent of c."""
@@ -769,12 +637,8 @@ def return_pdf_unconditional(t: float, params: MotionParams) -> float:
     return bessel_i_scaled(1, params.lam * t) / t
 
 
-def return_density_unconditional(t: float, params: MotionParams) -> LawValue:
-    return LawValue("density", return_pdf_unconditional(t, params), at=f"F_0 = {t}")
-
-
 # ---------------------------------------------------------------------------
-# JSON query interface
+# the law table and the query interface
 # ---------------------------------------------------------------------------
 
 def _require_n(cond: Conditioning) -> int:
@@ -783,51 +647,217 @@ def _require_n(cond: Conditioning) -> int:
     return cond.n
 
 
-def evaluate_query(query: dict) -> dict:
-    """Evaluate one JSON law query.
+def _overflow(law: str, n: Optional[int]) -> OverflowError:
+    return OverflowError(f"law {law} at n = {n} overflows a float")
 
-    Input keys: v0 ("+"/"-"), n (int or null), law, t, c, lambda, and the
-    law's free variables among x, beta, s.  Output: {"kind", "value", "at"}.
+
+@dataclass
+class _Fixed:
+    """A query's fixed part: everything but the law's free variables."""
+
+    v0: VelocitySign
+    n: Optional[int]
+    t: float
+    params: MotionParams
+    beta: Optional[float]  # level of the first-passage law
+
+    def __post_init__(self):
+        self.sign = self.v0.value_sign
+        self.c = self.params.c
+
+
+@dataclass(frozen=True)
+class _Law:
+    """One entry of the law table.
+
+    ``free`` names the free variables in the order the point functions take
+    them.  ``at`` labels a value with one ``{var}`` field per free variable,
+    or is a function of the fixed part when the label depends on it.
+    ``cond`` and ``uncond`` bind a fixed part, with a switch count or with
+    only V(0), into a scalar function of the free variables; None marks a
+    case the law does not have.  ``atoms`` gives the singular rows reported
+    beside a grid, as ((beta, x, s), LawValue).  ``n0_at``, where set, labels
+    the single atom of mass 1 that the law reduces to at n = 0.
     """
-    v0 = VelocitySign.from_str(query["v0"])
-    n = query.get("n")
-    cond = Conditioning(v0, n)
-    params = MotionParams(c=float(query["c"]), lam=float(query["lambda"]))
-    t = float(query["t"])
-    law = query["law"]
-    x = query.get("x")
-    beta = query.get("beta")
-    s = query.get("s")
-    if law == "position":
-        lv = position_density(cond, float(x), t, params)
-    elif law == "max":
-        lv = max_density(cond, float(beta), t, params)
-    elif law == "max_cdf":
-        lv = max_cdf(cond, float(beta), t, params)
-    elif law == "joint":
-        if n is None:
-            lv = joint_unconditional(
-                v0, query.get("component", "density"), t, params, beta=beta, x=x
-            )
-        else:
-            lv = joint_density(cond, float(beta), float(x), t, params)
-    elif law == "joint_cdf":
-        lv = joint_cdf_in_max(cond, float(beta), float(x), t, params)
-    elif law == "fpt":
-        if n is None:
-            lv = fpt_density_unconditional(v0, float(beta), t, params)
-        else:
-            lv = fpt_density(cond, float(beta), float(s), t, params)
-    elif law == "return":
-        if n is None:
-            lv = return_density_unconditional(t, params)
-        else:
-            lv = return_density_corrected(cond, float(s), t, params)
-    elif law == "return_printed":
-        lv = return_density_printed(cond, float(s), t, params)
+
+    free: tuple
+    at: Union[str, Callable[[_Fixed], str]]
+    cond: Optional[Callable[[_Fixed], Callable[..., float]]] = None
+    uncond: Optional[Callable[[_Fixed], Callable[..., float]]] = None
+    kind: str = "density"
+    atoms: Callable[[_Fixed], tuple] = lambda q: ()
+    n0_at: Optional[Callable[[_Fixed], str]] = None
+
+
+def _fpt_atoms(q: _Fixed) -> tuple:
+    if q.n is None:
+        atom = fpt_atom_unconditional(q.v0, q.beta, q.params)
     else:
+        atom = fpt_atom(Conditioning(q.v0, q.n), q.beta, q.t, q.params)
+    return (((q.beta, None, q.beta / q.c), atom),)
+
+
+#: (law, joint component or None) -> entry
+LAWS = {
+    ("position", None): _Law(
+        ("x",), "T(t) = {x}",
+        cond=lambda q: lambda x: position_pdf(q.sign, q.n, x, q.t, q.c),
+        n0_at=lambda q: f"T(t) = {q.sign * q.c * q.t}",
+    ),
+    ("max", None): _Law(
+        ("beta",), "M(t) = {beta}",
+        cond=lambda q: lambda beta: max_pdf(q.v0, q.n, beta, q.t, q.c),
+        atoms=lambda q: (((0.0, None, None), max_atom_zero(Conditioning(q.v0, q.n))),),
+        n0_at=lambda q: f"M(t) = {q.c * q.t if q.sign > 0 else 0}",
+    ),
+    ("max_cdf", None): _Law(
+        ("beta",), "M(t) <= {beta}", kind="cdf",
+        cond=lambda q: lambda beta: max_cdf_value(q.v0, q.n, beta, q.t, q.c),
+    ),
+    ("joint", "density"): _Law(
+        ("beta", "x"), "M = {beta}, T = {x}",
+        cond=lambda q: lambda beta, x: joint_pdf(q.v0, q.n, beta, x, q.t, q.c),
+        uncond=lambda q: lambda beta, x: joint_pdf_unconditional(q.v0, beta, x, q.t, q.params),
+    ),
+    ("joint", "max_equals_position"): _Law(
+        ("beta",), "M = T = {beta}",
+        cond=lambda q: lambda beta: joint_atom_max_equals_position_pdf(
+            q.v0, q.n, beta, q.t, q.c),
+        uncond=lambda q: lambda beta: joint_atom_max_equals_position_pdf_unconditional(
+            q.v0, beta, q.t, q.params),
+    ),
+    ("joint", "diagonal"): _Law(
+        ("beta",), "M = {beta}, T = 2M - ct",
+        cond=lambda q: lambda beta: joint_atom_diagonal_pdf(q.v0, q.n, beta, q.t, q.c),
+        uncond=lambda q: lambda beta: joint_atom_diagonal_pdf_unconditional(
+            q.v0, beta, q.t, q.params),
+    ),
+    ("joint", "max_zero"): _Law(
+        ("x",), "M = 0, T = {x}",
+        cond=lambda q: lambda x: joint_atom_max_zero_pdf(q.v0, q.n, x, q.t, q.c),
+        uncond=lambda q: lambda x: joint_atom_max_zero_pdf_unconditional(
+            q.v0, x, q.t, q.params),
+    ),
+    ("joint", "corner"): _Law(
+        (),
+        lambda q: f"M = T = {q.c * q.t}" if q.sign > 0 else f"M = 0, T = {-(q.c * q.t)}",
+        kind="atom",
+        uncond=lambda q: lambda: math.exp(-(q.params.lam * q.t)),
+    ),
+    ("joint_cdf", None): _Law(
+        ("beta", "x"), "M <= {beta}, T(t) = {x}",
+        cond=lambda q: lambda beta, x: joint_cdf_in_max_pdf(q.v0, q.n, beta, x, q.t, q.c),
+    ),
+    ("fpt", None): _Law(
+        ("s",), "F_beta = {s}",
+        cond=lambda q: lambda s: fpt_pdf(q.v0, q.n, q.beta, s, q.t, q.c),
+        uncond=lambda q: lambda: fpt_pdf_unconditional(q.v0, q.beta, q.t, q.params),
+        atoms=_fpt_atoms,
+    ),
+    ("return", None): _Law(
+        ("s",), "F_0 = {s}",
+        cond=lambda q: lambda s: return_pdf_corrected(q.n, s, q.t),
+        uncond=lambda q: lambda: return_pdf_unconditional(q.t, q.params),
+    ),
+    ("return_printed", None): _Law(
+        ("s",), "F_0 = {s}",
+        cond=lambda q: lambda s: return_pdf_printed(q.n, s, q.t),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Resolved:
+    """A law with its fixed part bound, evaluated point by point.
+
+    ``pdf`` is a scalar function of the free variables ``free``.  ``at``
+    labels its value, field i taking free variable i.  ``atoms`` are the
+    singular rows reported beside a grid, as ((beta, x, s), LawValue).
+    """
+
+    law: str
+    n: Optional[int]
+    free: tuple
+    kind: str
+    at: str
+    pdf: Callable[..., float]
+    atoms: tuple
+
+    def value(self, *point: float) -> float:
+        """The law at one point, range-checked as a LawValue is."""
+        try:
+            value = self.pdf(*point)
+        except OverflowError:
+            raise _overflow(self.law, self.n) from None
+        if value < 0 or (value > 1 + 1e-12 and self.kind != "density"):
+            LawValue(self.kind, value, self.at.format(*point))  # raises the range error
+        return value
+
+
+def resolve(
+    law: str,
+    v0: str,
+    n: Optional[int],
+    t: float,
+    c: float,
+    lam: float,
+    component: str = "density",
+    beta: Optional[float] = None,
+) -> Resolved:
+    """Bind a query's fixed part once, for any number of points.
+
+    ``component`` selects the part of the joint law and is ignored by the
+    other laws; ``beta`` is the level of the first-passage law.
+    """
+    entry = LAWS.get((law, component if law == "joint" else None))
+    if entry is None:
+        if law == "joint":
+            raise ValueError(f"unknown joint component {component!r}; one of {JOINT_COMPONENTS}")
         raise ValueError(f"unknown law {law!r}")
-    return {"kind": lv.kind, "value": lv.value, "at": lv.at}
+    if law == "fpt" and beta is None:
+        raise ValueError("law fpt needs a level beta")
+    cond = Conditioning(VelocitySign.from_str(v0), n)
+    q = _Fixed(cond.v0, n, float(t), MotionParams(float(c), float(lam)),
+               None if beta is None else float(beta))
+    bind = entry.cond if n is not None else entry.uncond
+    if bind is None:
+        if n is None:
+            raise ValueError(f"law {law} requires a switch-count conditioning")
+        raise ValueError(f"joint component {component} has no law given a switch count")
+    free, fields = entry.free, {}
+    if n is None and free == ("s",):
+        # the unconditional passage laws are densities in t itself
+        free, fields = (), {"s": q.t}
+    fields.update({var: f"{{{i}}}" for i, var in enumerate(free)})
+    if n == 0 and entry.n0_at is not None:
+        kind, at, pdf = "atom", entry.n0_at(q), lambda *point: 1.0
+    else:
+        kind, pdf = entry.kind, bind(q)
+        at = entry.at(q) if callable(entry.at) else entry.at.format(**fields)
+    try:
+        atoms = entry.atoms(q)
+    except OverflowError:
+        raise _overflow(law, n) from None
+    return Resolved(law, n, free, kind, at, pdf, atoms)
+
+
+def evaluate_query(query: dict) -> dict:
+    """Evaluate one JSON law query: resolve its fixed part, then one point.
+
+    Input keys: v0 ("+"/"-"), n (int or null), law, t, c, lambda, component
+    (joint only, default "density"), beta for the first-passage level, and
+    the law's free variables among x, beta, s.  Output: {"kind", "value",
+    "at"}.
+    """
+    law = resolve(
+        query["law"], query["v0"], query.get("n"), query["t"], query["c"],
+        query["lambda"], query.get("component", "density"), query.get("beta"),
+    )
+    missing = [var for var in law.free if query.get(var) is None]
+    if missing:
+        raise ValueError(f"law {law.law} needs {', '.join(missing)}")
+    point = [float(query[var]) for var in law.free]
+    return {"kind": law.kind, "value": law.value(*point), "at": law.at.format(*point)}
 
 
 def evaluate_query_json(line: str) -> str:

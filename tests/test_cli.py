@@ -1,12 +1,18 @@
 import csv
 import io
+import itertools
 import json
+import math
 
+import numpy as np
 import pytest
 
 from telegraph import cli
 from telegraph import laws
+from telegraph.laws import Conditioning
+from telegraph.params import MotionParams, VelocitySign
 
+PLUS, MINUS = VelocitySign.PLUS, VelocitySign.MINUS
 EVAL_HEADER = ["law", "v0", "n", "t", "c", "lambda", "beta", "x", "s", "kind", "value", "at"]
 
 
@@ -18,6 +24,13 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def eval_rows(text):
+    # the `at` label may hold a comma, so it is the rest of the line
+    lines = text.splitlines()
+    assert lines[0] == ",".join(EVAL_HEADER)
+    return [line.split(",", len(EVAL_HEADER) - 1) for line in lines[1:]]
 
 
 class TestEval:
@@ -78,7 +91,52 @@ class TestEval:
         )
         assert code == 2
         assert err.startswith("error: ")
+        assert "law fpt at n = 200 overflows a float" in err
         assert "Traceback" not in err
+
+    def test_conditional_max_equals_position_component(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--law", "joint", "--v0", "-", "--n", "3",
+            "--component", "max_equals_position", "--beta", "0.5", "--x", "-0.2",
+        )
+        assert code == 0
+        assert eval_rows(out) == [
+            ["joint", "-", "3", "1.0", "1.0", "1.0", "0.5", "", "", "density",
+             repr(laws.joint_atom_max_equals_position_pdf(MINUS, 3, 0.5, 1.0, 1.0)),
+             "M = T = 0.5"],
+        ]
+
+    def test_conditional_diagonal_component(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--law", "joint", "--n", "1", "--component", "diagonal",
+            "--beta-grid", "0.2:0.6:3",
+        )
+        assert code == 0
+        rows = eval_rows(out)
+        assert [row[6] for row in rows] == ["0.2", "0.4", "0.6"]
+        for row in rows:
+            assert float(row[10]) == laws.joint_atom_diagonal_pdf(PLUS, 1, float(row[6]), 1.0, 1.0)
+            assert row[11] == f"M = {row[6]}, T = 2M - ct"
+        assert float(rows[0][10]) == 1.0
+
+    def test_conditional_max_zero_component(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--law", "joint", "--v0", "-", "--n", "3",
+            "--component", "max_zero", "--beta", "0.5", "--x", "-0.2",
+        )
+        assert code == 0
+        assert eval_rows(out) == [
+            ["joint", "-", "3", "1.0", "1.0", "1.0", "", "-0.2", "", "density",
+             repr(laws.joint_atom_max_zero_pdf(MINUS, 3, -0.2, 1.0, 1.0)), "M = 0, T = -0.2"],
+        ]
+
+    def test_conditional_corner_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--law", "joint", "--n", "2", "--component", "corner"
+        )
+        assert code == 2
+        assert out == ""
+        assert "corner" in err and "switch count" in err
 
     def test_values_are_plain_decimal(self, capsys):
         _, out, _ = run_cli(
@@ -212,3 +270,129 @@ class TestKac:
         assert code == 0
         rows = json.loads(out)
         assert all(r["passed"] for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# every law table entry against direct calls of the law functions
+
+T, C, LAM, LEVEL = 1.5, 0.9, 2.5, 0.4
+GRIDS = {"beta": (-0.1, 1.3, 15), "x": (-1.3, 1.3, 14), "s": (0.0, 1.5, 16)}
+
+
+def _direct(law, component, v0, n):
+    """(free variables, point -> (kind, value, at), atom rows) computed by
+    calling the law functions directly, or None where the query has no law."""
+    params = MotionParams(C, LAM)
+    plus = v0 is PLUS
+    if n is None:
+        cases = {
+            ("joint", "density"): (("beta", "x"), lambda b, x: (
+                "density", laws.joint_pdf_unconditional(v0, b, x, T, params),
+                f"M = {b}, T = {x}")),
+            ("joint", "max_equals_position"): (("beta",), lambda b: (
+                "density", laws.joint_atom_max_equals_position_pdf_unconditional(v0, b, T, params),
+                f"M = T = {b}")),
+            ("joint", "diagonal"): (("beta",), lambda b: (
+                "density", laws.joint_atom_diagonal_pdf_unconditional(v0, b, T, params),
+                f"M = {b}, T = 2M - ct")) if plus else None,
+            ("joint", "max_zero"): (("x",), lambda x: (
+                "density", laws.joint_atom_max_zero_pdf_unconditional(v0, x, T, params),
+                f"M = 0, T = {x}")) if not plus else None,
+            ("joint", "corner"): ((), lambda: (
+                "atom", math.exp(-LAM * T),
+                f"M = T = {C * T}" if plus else f"M = 0, T = {-C * T}")),
+            ("fpt", None): ((), lambda: (
+                "density", laws.fpt_pdf_unconditional(v0, LEVEL, T, params), f"F_beta = {T}")),
+            ("return", None): ((), lambda: (
+                "density", laws.return_pdf_unconditional(T, params), f"F_0 = {T}")),
+        }
+        found = cases.get((law, component))
+        if found is None:
+            return None
+        atoms = []
+        if law == "fpt":
+            atom = laws.fpt_atom_unconditional(v0, LEVEL, params)
+            atoms = [(LEVEL, None, LEVEL / C, atom.kind, atom.value, atom.at)]
+        return (*found, atoms)
+
+    cond = Conditioning(v0, n)
+    if law == "position" and n == 0:
+        return ("x",), lambda x: ("atom", 1.0, f"T(t) = {v0.value_sign * C * T}"), []
+    if law == "max" and n == 0:
+        at = f"M(t) = {C * T}" if plus else "M(t) = 0"
+        found = (("beta",), lambda b: ("atom", 1.0, at))
+    else:
+        found = {
+            ("position", None): (("x",), lambda x: (
+                "density", laws.position_pdf(v0.value_sign, n, x, T, C), f"T(t) = {x}")),
+            ("max", None): (("beta",), lambda b: (
+                "density", laws.max_pdf(v0, n, b, T, C), f"M(t) = {b}")),
+            ("max_cdf", None): (("beta",), lambda b: (
+                "cdf", laws.max_cdf_value(v0, n, b, T, C), f"M(t) <= {b}")),
+            ("joint", "density"): (("beta", "x"), lambda b, x: (
+                "density", laws.joint_pdf(v0, n, b, x, T, C), f"M = {b}, T = {x}")),
+            ("joint", "max_equals_position"): (("beta",), lambda b: (
+                "density", laws.joint_atom_max_equals_position_pdf(v0, n, b, T, C),
+                f"M = T = {b}")),
+            ("joint", "diagonal"): (("beta",), lambda b: (
+                "density", laws.joint_atom_diagonal_pdf(v0, n, b, T, C), f"M = {b}, T = 2M - ct")),
+            ("joint", "max_zero"): (("x",), lambda x: (
+                "density", laws.joint_atom_max_zero_pdf(v0, n, x, T, C), f"M = 0, T = {x}")),
+            ("joint_cdf", None): (("beta", "x"), lambda b, x: (
+                "density", laws.joint_cdf_in_max_pdf(v0, n, b, x, T, C),
+                f"M <= {b}, T(t) = {x}")),
+            ("fpt", None): (("s",), lambda s: (
+                "density", laws.fpt_pdf(v0, n, LEVEL, s, T, C), f"F_beta = {s}")),
+            ("return", None): (("s",), lambda s: (
+                "density", laws.return_pdf_corrected(n, s, T), f"F_0 = {s}")),
+            ("return_printed", None): (("s",), lambda s: (
+                "density", laws.return_pdf_printed(n, s, T), f"F_0 = {s}")),
+        }.get((law, component))
+        if found is None:
+            return None
+    atoms = []
+    if law == "max":
+        atom = laws.max_atom_zero(cond)
+        atoms = [(0.0, None, None, atom.kind, atom.value, atom.at)]
+    if law == "fpt":
+        atom = laws.fpt_atom(cond, LEVEL, T, MotionParams(C, LAM))
+        atoms = [(LEVEL, None, LEVEL / C, atom.kind, atom.value, atom.at)]
+    return (*found, atoms)
+
+
+def _cell(value):
+    return "" if value is None else str(value)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, None])
+@pytest.mark.parametrize("v0", ["+", "-"])
+@pytest.mark.parametrize("law,component", sorted(laws.LAWS), ids=str)
+def test_eval_rows_equal_direct_law_calls(capsys, law, component, v0, n):
+    argv = ["eval", "--law", law, "--v0", v0, "--t", str(T), "--c", str(C),
+            "--lambda", str(LAM), "--beta", str(LEVEL)]
+    argv += [f"--{var}-grid={lo}:{hi}:{count}" for var, (lo, hi, count) in GRIDS.items()]
+    if component is not None:
+        argv += ["--component", component]
+    if n is not None:
+        argv += ["--n", str(n)]
+    direct = _direct(law, component, VelocitySign.from_str(v0), n)
+    code, csv_out, err = run_cli(capsys, *argv)
+    json_code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    if direct is None:
+        assert (code, json_code) == (2, 2)
+        assert err.startswith("error: ")
+        return
+    free, at_point, atoms = direct
+    grids = [[float(v) for v in np.linspace(*GRIDS[var])] for var in free]
+    expected = []
+    for point in itertools.product(*grids):
+        cells = dict(zip(free, point))
+        expected.append((cells.get("beta"), cells.get("x"), cells.get("s"), *at_point(*point)))
+    expected += atoms
+    assert (code, json_code) == (0, 0)
+
+    fixed = [law, v0, _cell(n), str(T), str(C), str(LAM)]
+    assert eval_rows(csv_out) == [fixed + [_cell(v) for v in row] for row in expected]
+    keys = ("beta", "x", "s", "kind", "value", "at")
+    got = [tuple(row[key] for key in keys) for row in json.loads(json_out)]
+    assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in expected]

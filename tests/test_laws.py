@@ -100,9 +100,10 @@ class TestPositionLaw:
         assert laws.position_pdf(+1, 2, 1.0, 1.0, 1.0) == pytest.approx(inside, rel=1e-9)
 
     def test_wrapper_reports_density_kind(self):
-        out = laws.position_density(Conditioning(PLUS, 2), 0.2, 1.0, PARAMS)
-        assert out.kind == "density"
-        assert out.value == pytest.approx(laws.position_pdf(+1, 2, 0.2, 1.0, 1.0))
+        query = {"v0": "+", "n": 2, "law": "position", "t": 1.0, "c": 1.0, "lambda": 1.0}
+        out = laws.evaluate_query({**query, "x": 0.2})
+        assert out["kind"] == "density"
+        assert out["value"] == laws.position_pdf(+1, 2, 0.2, 1.0, 1.0)
 
 
 class TestMaxLaw:
@@ -239,10 +240,22 @@ class TestJointLaw:
         assert worst <= 1e-7
 
     def test_joint_cdf_wrapper_matches_pdf_integral(self):
-        beta, t, c = 0.5, 1.0, 1.0
-        got = laws.joint_cdf_in_max_pdf(PLUS, 3, beta, 0.2, t, c)
-        assert math.isfinite(got)
-        assert got >= 0.0
+        # P{M <= beta, T in dx} - P{M <= max(0, x), T in dx} is the integral of
+        # the joint density over (max(0, x), beta), inside the wedge
+        t = c = 1.0
+        worst = 0.0
+        for v0, n, x in itertools.product((PLUS, MINUS), range(1, 9), (-0.6, -0.2, 0.1, 0.3)):
+            lo, hi = max(0.0, x), (c * t + x) / 2
+            for frac in (0.3, 0.7, 0.999):
+                beta = lo + frac * (hi - lo)
+                left = laws.joint_cdf_in_max_pdf(v0, n, beta, x, t, c) - laws.joint_cdf_in_max_pdf(
+                    v0, n, lo, x, t, c
+                )
+                right = quadrature(
+                    lambda b: laws.joint_pdf(v0, n, b, x, t, c), lo, beta, abs_tol=1e-14
+                )
+                worst = max(worst, abs(left - right))
+        assert worst <= 1e-12
 
 
 class TestFptLaw:
@@ -340,4 +353,4 @@ class TestQueryInterface:
 
     def test_negative_switch_count_raises(self):
         with pytest.raises(ValueError):
-            laws.position_density(Conditioning(PLUS, -1), 0.0, 1.0, PARAMS)
+            laws.evaluate_query({**self.BASE, "law": "position", "n": -1, "x": 0.0})
