@@ -67,7 +67,11 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    if any(ch in text for ch in ',"\r\n'):
+        # quoted as the csv module quotes it
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _emit(lines: List[str], output: Optional[str]) -> None:
@@ -123,7 +127,7 @@ def cmd_eval(args) -> int:
     prefix = ",".join(map(_csv_cell, (args.law, args.v0, args.n, args.t, args.c, args.lam))) + ","
     slots = {var: f"{{{i}}}" for i, var in enumerate(law.free)}
     row = (prefix + ",".join(slots.get(var, "") for var in _CELLS)
-           + f",{law.kind},{{{len(law.free)}}},{law.at}")
+           + f",{law.kind},{{{len(law.free)}}},{_csv_cell(law.at)}")
     lines = ["law,v0,n,t,c,lambda,beta,x,s,kind,value,at"]
     texts = itertools.product(*([repr(v) for v in grid] for grid in grids))
     lines += [row.format(*text, value) for text, value in zip(texts, values)]

@@ -377,11 +377,15 @@ def joint_pdf_unconditional(
     ct, lam_t = c * t, params.lam * t
     if not _in_wedge(beta, x, ct):
         return 0.0
-    w = 2 * beta - x
+    w = min(2 * beta - x, ct)
     z = lam / c * math.sqrt(ct * ct - w * w)
     i0 = _e_bessel(0, z, lam_t)
     i1 = _e_bessel(1, z, lam_t)
     if v0 is VelocitySign.PLUS:
+        if w == ct:
+            # the edge x = 2*beta - ct, where z = 0: I_1(z)/z -> 1/2 gives
+            # I_1(z)/sqrt(ct - w) -> lam*sqrt(2*ct)/(2*c)
+            return lam * lam / (2 * c * c) * (1 + lam_t) * math.exp(-lam_t)
         return (
             lam
             / (c * math.sqrt(ct + w))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .params import MotionParams, VelocitySign
 from .path import TelegraphPath, _vertices, position_at, running_max
+from .sampler import vertices_batch
 
 __all__ = [
     "ReflectionContext",
@@ -324,27 +325,18 @@ def crossings_batch(switches: np.ndarray, horizon: float, c: float, beta: float)
     unspecified.  Crossings within ``DEGENERATE_REL_TOL * horizon`` of a
     vertex are marked not ok.
     """
-    sw = np.asarray(switches, dtype=float)
-    m, n = sw.shape
-    times = np.empty((m, n + 2))
-    times[:, 0] = 0.0
-    times[:, 1 : n + 1] = sw
-    times[:, n + 1] = horizon
-    vel = c * (-1.0) ** np.arange(n + 1)
-    pos = np.empty((m, n + 2))
-    pos[:, 0] = 0.0
-    np.cumsum(vel * np.diff(times, axis=1), axis=1, out=pos[:, 1:])
-
+    times, pos = vertices_batch(VelocitySign.PLUS, switches, horizon, c)
     tol = DEGENERATE_REL_TOL * horizon
-    up = (pos[:, :-1] < beta) & (pos[:, 1:] > beta) & (vel > 0)
+    # a strict crossing fixes the sign of the segment's slope
+    up = (pos[:, :-1] < beta) & (pos[:, 1:] > beta)
     has_up = up.any(axis=1)
     h = np.argmax(up, axis=1) + 1  # displacement index, 1-based
-    down = (pos[:, :-1] > beta) & (pos[:, 1:] < beta) & (vel < 0)
-    down &= np.arange(1, n + 2) > h[:, None]
+    down = (pos[:, :-1] > beta) & (pos[:, 1:] < beta)
+    down &= np.arange(1, pos.shape[1]) > h[:, None]
     has_down = down.any(axis=1)
     l = np.argmax(down, axis=1) + 1
 
-    rows = np.arange(m)
+    rows = np.arange(pos.shape[0])
     t1 = times[rows, h - 1] + (beta - pos[rows, h - 1]) / c
     t2 = times[rows, l - 1] + (pos[rows, l - 1] - beta) / c
     ok = has_up & has_down & (pos[:, -1] < beta)
@@ -379,27 +371,18 @@ def zero_return_crossings_batch(
     ``(u1, u2, j1, j2, ok)`` with the cut times, their displacement
     indices, and a validity mask.
     """
-    sw = np.asarray(switches, dtype=float)
-    m, n = sw.shape
-    times = np.empty((m, n + 2))
-    times[:, 0] = 0.0
-    times[:, 1 : n + 1] = sw
-    times[:, n + 1] = horizon
-    vel = -c * (-1.0) ** np.arange(n + 1)
-    pos = np.empty((m, n + 2))
-    pos[:, 0] = 0.0
-    np.cumsum(vel * np.diff(times, axis=1), axis=1, out=pos[:, 1:])
-
+    times, pos = vertices_batch(VelocitySign.MINUS, switches, horizon, c)
     tol = DEGENERATE_REL_TOL * horizon
-    back = (pos[:, :-1] < 0.0) & (pos[:, 1:] > 0.0) & (vel > 0)
+    # both cut points lie on strict upward crossings
+    back = (pos[:, :-1] < 0.0) & (pos[:, 1:] > 0.0)
     has_back = back.any(axis=1)
     j1 = np.argmax(back, axis=1) + 1
-    up = (pos[:, :-1] < beta) & (pos[:, 1:] > beta) & (vel > 0)
-    up &= np.arange(1, n + 2) >= j1[:, None]
+    up = (pos[:, :-1] < beta) & (pos[:, 1:] > beta)
+    up &= np.arange(1, pos.shape[1]) >= j1[:, None]
     has_up = up.any(axis=1)
     j2 = np.argmax(up, axis=1) + 1
 
-    rows = np.arange(m)
+    rows = np.arange(pos.shape[0])
     u1 = times[rows, j1 - 1] + (0.0 - pos[rows, j1 - 1]) / c
     u2 = times[rows, j2 - 1] + (beta - pos[rows, j2 - 1]) / c
     ok = has_back & has_up

@@ -8,13 +8,17 @@ and the exact singular events M = 0 and M = T(t)) over many paths at once
 with numpy; the scalar samplers return :class:`TelegraphPath` objects.
 
 Randomness follows a stream contract: a 64-bit seed plus a stream id
-select a reproducible, statistically independent generator, so estimates
-partitioned across workers are deterministic regardless of scheduling.
+select a reproducible, statistically independent generator (counter-style
+keys, after Salmon et al. 2011).  The Monte Carlo estimators cut ``reps``
+into chunks of ``CHUNK`` rows, the last one holding the remainder, and draw
+chunk i from stream i; threads only schedule chunks and results are reduced
+in chunk order, so an estimate depends only on (seed, reps).
 """
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from .params import MotionParams, VelocitySign
 from .path import TelegraphPath
 
 __all__ = [
+    "CHUNK",
     "RngStream",
     "McReport",
     "HistogramBin",
@@ -214,10 +219,46 @@ def max_equals_position_batch(
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators
 
+#: Rows per Monte Carlo chunk; chunk i draws from ``RngStream(seed, i)``.
+CHUNK = 1 << 14
 
-def _partition(reps: int, parts: int) -> List[int]:
-    base, extra = divmod(reps, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
+
+def _run_chunks(work, reps: int, seed: int, threads: int) -> list:
+    """Results of ``work(count, rng)`` on each chunk of ``reps`` rows, in chunk order.
+
+    Chunk i holds rows ``i*CHUNK`` up to ``min((i+1)*CHUNK, reps)`` and draws
+    from stream i of ``seed``.  Threads only schedule chunks, so the results
+    depend on (seed, reps) alone.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    sizes = [min(CHUNK, reps - start) for start in range(0, reps, CHUNK)]
+
+    def run(i: int):
+        return work(sizes[i], RngStream(seed, i).generator())
+
+    if threads <= 1:
+        return [run(i) for i in range(len(sizes))]
+    with ThreadPoolExecutor(max_workers=min(threads, len(sizes))) as pool:
+        return list(pool.map(run, range(len(sizes))))
+
+
+def _switch_groups(
+    n: Optional[int], params: MotionParams, t: float, count: int, rng: np.random.Generator
+):
+    """Switch rows of one chunk as (row selector, sorted switch times) groups.
+
+    With ``n`` given every row has n switches; with ``n=None`` each row draws
+    a Poisson(lambda*t) count and rows are grouped by count, in increasing
+    order.
+    """
+    if n is not None:
+        yield slice(None), sample_switches_batch(n, t, count, rng)
+        return
+    counts = rng.poisson(params.lam * t, size=count)
+    for k in np.unique(counts):
+        sel = counts == k
+        yield sel, sample_switches_batch(int(k), t, int(sel.sum()), rng)
 
 
 def mc_probability(
@@ -234,31 +275,28 @@ def mc_probability(
     """Binomial estimate of P{event} over sampled paths.
 
     ``n=None`` samples unconditionally (Poisson switch count), otherwise
-    conditionally on n switches.  Work is split into one stream per
-    thread; the result depends only on (seed, threads, reps), not on
-    scheduling.
+    conditionally on n switches; ``v0="uniform"`` draws a fair coin per
+    path.  Paths are drawn in chunks of ``CHUNK`` rows, chunk i from stream
+    i of ``seed``; the result depends only on (seed, reps), not on
+    ``threads`` or scheduling.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    threads = max(1, threads)
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    uniform = v0 == "uniform" or v0 is None
+    fixed = None if uniform else _resolve_v0(v0, rng=None)  # draws nothing
 
-    def run(part: int, count: int) -> int:
-        rng = RngStream(seed, part).generator()
+    def work(count: int, rng: np.random.Generator) -> int:
+        if uniform:
+            signs = np.where(rng.random(count) < 0.5, VelocitySign.PLUS, VelocitySign.MINUS)
+        else:
+            signs = np.full(count, fixed, dtype=object)
         hits = 0
-        for _ in range(count):
-            if n is None:
-                p = sample_unconditional(params, t, v0, rng)
-            else:
-                p = sample_conditional(n, t, _resolve_v0(v0, rng), rng)
-            hits += bool(event(p, params))
+        for sel, sw in _switch_groups(n, params, t, count, rng):
+            for sign, row in zip(signs[sel], sw.tolist()):
+                hits += bool(event(TelegraphPath(sign, t, row), params))
         return hits
 
-    counts = _partition(reps, threads)
-    if threads == 1:
-        total = run(0, counts[0])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(run, range(threads), counts))
+    total = sum(_run_chunks(work, reps, seed, threads))
     p_hat = total / reps
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / reps))
     z = None
@@ -267,46 +305,13 @@ def mc_probability(
     return McReport(p_hat, se, reps, analytic, z)
 
 
+#: batch functionals by name, with whether each takes the level beta
 _FUNCTIONALS = {
-    "position": position_batch,
-    "max": running_max_batch,
-    "return": first_return_batch,
+    "position": (position_batch, False),
+    "max": (running_max_batch, False),
+    "fpt": (first_passage_batch, True),
+    "return": (first_return_batch, False),
 }
-
-
-def _functional_samples(
-    functional: str,
-    v0: VelocitySign,
-    n: Optional[int],
-    params: MotionParams,
-    t: float,
-    reps: int,
-    rng: np.random.Generator,
-    beta: Optional[float] = None,
-) -> np.ndarray:
-    """Draw one batch of functional values; NaN marks undefined values."""
-    if n is None:
-        counts = rng.poisson(params.lam * t, size=reps)
-        out = np.empty(reps)
-        for k in np.unique(counts):
-            sel = counts == k
-            sw = sample_switches_batch(int(k), t, int(sel.sum()), rng)
-            out[sel] = _eval_functional(functional, v0, sw, t, params.c, beta)
-        return out
-    sw = sample_switches_batch(n, t, reps, rng)
-    return _eval_functional(functional, v0, sw, t, params.c, beta)
-
-
-def _eval_functional(functional, v0, sw, t, c, beta):
-    if functional == "fpt":
-        if beta is None:
-            raise ValueError("functional 'fpt' needs a level beta")
-        return first_passage_batch(v0, sw, t, c, beta)
-    try:
-        fn = _FUNCTIONALS[functional]
-    except KeyError:
-        raise ValueError(f"unknown functional {functional!r}") from None
-    return fn(v0, sw, t, c)
 
 
 def mc_density_histogram(
@@ -325,35 +330,37 @@ def mc_density_histogram(
 ) -> List[HistogramBin]:
     """Histogram density estimate of a path functional with bin-wise errors.
 
-    ``functional`` is one of ``position``, ``max``, ``fpt`` (needs
-    ``beta``), ``return``.  Per bin, the density estimate is
-    frequency/width with standard error sqrt(p(1-p)/reps)/width, where an
-    empty bin falls back to p = 1/reps so the error is never zero.  When
+    ``functional`` is one of ``position``, ``max``, ``fpt`` (needs a level
+    ``beta > 0``), ``return``; undefined values (NaN) fall in no bin.
+    Paths are drawn in chunks as in :func:`mc_probability`, so the
+    histogram depends only on (seed, reps).  Per bin, the density estimate
+    is frequency/width with standard error sqrt(p(1-p)/reps)/width, where
+    an empty bin falls back to p = 1/reps so the error is never zero.  When
     ``analytic`` (a density callable) is given, each bin carries a z-score
     against the bin-averaged analytic value.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     lo, hi = value_range
     if not lo < hi:
         raise ValueError("empty value range")
-    threads = max(1, threads)
+    try:
+        fn, takes_level = _FUNCTIONALS[functional]
+    except KeyError:
+        raise ValueError(f"unknown functional {functional!r}") from None
+    if takes_level:
+        if beta is None or not beta > 0.0:
+            raise ValueError(f"functional {functional!r} needs a level beta > 0, got {beta}")
+        fn = functools.partial(fn, beta=beta)
 
-    def run(part: int, count: int) -> np.ndarray:
-        rng = RngStream(seed, part).generator()
-        vals = _functional_samples(functional, v0, n, params, t, count, rng, beta)
-        vals = vals[~np.isnan(vals)]
-        counts, _ = np.histogram(vals, bins=bins, range=(lo, hi))
+    def work(count: int, rng: np.random.Generator) -> np.ndarray:
+        vals = np.empty(count)
+        for sel, sw in _switch_groups(n, params, t, count, rng):
+            vals[sel] = fn(v0, sw, t, params.c)
+        counts, _ = np.histogram(vals[~np.isnan(vals)], bins=bins, range=(lo, hi))
         return counts
 
-    parts = _partition(reps, threads)
-    if threads == 1:
-        counts = run(0, parts[0])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = sum(pool.map(run, range(threads), parts))
+    counts = sum(_run_chunks(work, reps, seed, threads))
 
     edges = np.linspace(lo, hi, bins + 1)
     width = (hi - lo) / bins

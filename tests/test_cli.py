@@ -27,13 +27,27 @@ def parse_csv(text):
 
 
 def eval_rows(text):
-    # the `at` label may hold a comma, so it is the rest of the line
-    lines = text.splitlines()
-    assert lines[0] == ",".join(EVAL_HEADER)
-    return [line.split(",", len(EVAL_HEADER) - 1) for line in lines[1:]]
+    rows = parse_csv(text)
+    assert rows[0] == EVAL_HEADER
+    assert all(len(row) == len(EVAL_HEADER) for row in rows)
+    return rows[1:]
 
 
 class TestEval:
+    @pytest.mark.parametrize("lam", ["1", "5"])
+    def test_unconditional_joint_density_on_wedge_edge(self, capsys, lam):
+        # x = 2*beta - ct is the edge where I_1(z)/sqrt(ct - w) has a finite limit
+        code, out, err = run_cli(
+            capsys, "eval", "--law", "joint", "--v0", "+", "--beta", "0.5", "--x", "0",
+            "--lambda", lam,
+        )
+        assert code == 0, err
+        (row,) = eval_rows(out)
+        params = MotionParams(1.0, float(lam))
+        inside = [laws.joint_pdf_unconditional(PLUS, 0.5, x, 1.0, params) for x in (1e-7, 1e-9)]
+        assert float(row[10]) == pytest.approx(inside[1], rel=1e-8)
+        assert float(row[10]) == pytest.approx(inside[0], rel=1e-6)
+
     def test_position_point_csv(self, capsys):
         code, out, err = run_cli(
             capsys, "eval", "--law", "position", "--v0", "+", "--n", "2", "--x", "0.2"
@@ -148,6 +162,17 @@ class TestEval:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("beta", ["0", "-0.5"])
+    def test_unconditional_fpt_needs_positive_level(self, capsys, beta):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--functional", "fpt", "--v0", "+", f"--beta={beta}", "--lambda", "1",
+            "--bins", "4", "--range=0:1", "--reps", "1000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "beta > 0" in err
+
     def test_histogram_csv_schema(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -151,6 +151,21 @@ class TestBatchAgainstScalar:
             scalar_image = negative_reflect(path, ctx)
             assert row_out == pytest.approx(scalar_image.switch_times, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_zero_return_cut_points_match_scalar(self, n):
+        rng = np.random.default_rng(17)
+        t, c, beta = 1.0, 1.0, 0.25
+        switches = np.sort(rng.uniform(0.0, t, size=(400, n)), axis=1)
+        t1, t2, _, _, ok = reflection.crossings_batch(switches, t, c, beta)
+        images = reflection.reflect_batch(switches[ok], t1[ok], t2[ok])
+        u1, u2, _, _, ok_inv = reflection.zero_return_crossings_batch(images, t, c, beta)
+        assert ok_inv.all()
+        for row, a, b in zip(images, u1, u2):
+            path = TelegraphPath(MINUS, t, tuple(row))
+            x = 2.0 * beta - sampler.position_batch(MINUS, row[None, :], t, c)[0]
+            ctx = ReflectionContext(beta=beta, x=float(x), params=MotionParams(c, 1.0), horizon=t)
+            assert (a, b) == pytest.approx(reflection._inverse_cut_points(path, ctx), abs=1e-12)
+
     def test_batch_round_trip_and_injectivity(self):
         rng = np.random.default_rng(11)
         t, c, beta = 1.0, 1.0, 0.2

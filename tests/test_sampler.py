@@ -189,3 +189,94 @@ class TestMcDensityHistogram:
         for b in bins:
             assert type(b.report.estimate) is float
             assert type(b.report.std_error) is float
+
+
+class TestChunkedDriver:
+    """Estimates depend on (seed, reps) only: chunk i of CHUNK rows draws from stream i."""
+
+    @staticmethod
+    def _estimates(bins):
+        return [b.report.estimate for b in bins]
+
+    @pytest.mark.parametrize(
+        "v0, n, event",
+        [
+            (MINUS, 3, lambda p, params: running_max(p, params) <= 0.0),
+            ("uniform", None, lambda p, params: position_at(p, 1.0, params) > 0.0),
+        ],
+    )
+    def test_mc_probability_independent_of_threads(self, v0, n, event):
+        reps = 2 * sampler.CHUNK + 123
+        got = {
+            threads: sampler.mc_probability(
+                event, PARAMS, 1.0, reps, v0=v0, n=n, seed=12, threads=threads
+            ).estimate
+            for threads in (1, 2, 4)
+        }
+        assert got[1] == got[2] == got[4]
+
+    @pytest.mark.parametrize(
+        "functional, v0, n, params",
+        [
+            ("position", PLUS, 8, PARAMS),
+            ("return", MINUS, None, MotionParams(c=1.0, lam=5.0)),
+        ],
+    )
+    def test_histogram_independent_of_threads(self, functional, v0, n, params):
+        reps = 3 * sampler.CHUNK + 1001
+        got = [
+            self._estimates(
+                sampler.mc_density_histogram(
+                    functional, v0, n, params, 1.0, bins=20, value_range=(-1.0, 1.0),
+                    reps=reps, seed=13, threads=threads,
+                )
+            )
+            for threads in (1, 2, 4)
+        ]
+        assert got[0] == got[1] == got[2]
+
+    def _chunk_counts(self, sizes, seed, bins, value_range):
+        # the documented layout, spelled out: chunk i holds sizes[i] rows from stream i
+        total = np.zeros(bins, dtype=np.int64)
+        for i, size in enumerate(sizes):
+            rng = RngStream(seed, i).generator()
+            sw = sampler.sample_switches_batch(8, 1.0, size, rng)
+            vals = sampler.position_batch(PLUS, sw, 1.0, 1.0)
+            total += np.histogram(vals, bins=bins, range=value_range)[0]
+        return total
+
+    @pytest.mark.parametrize("reps", [1000, 2 * sampler.CHUNK + 7])
+    def test_histogram_follows_chunk_layout(self, reps):
+        sizes = [sampler.CHUNK] * (reps // sampler.CHUNK) + [reps % sampler.CHUNK]
+        bins, value_range = 16, (-1.0, 1.0)
+        want = self._chunk_counts(sizes, 21, bins, value_range)
+        assert want.sum() == reps  # every row is drawn once and lands in a bin
+        for threads in (1, 3):
+            got = sampler.mc_density_histogram(
+                "position", PLUS, 8, PARAMS, 1.0, bins=bins, value_range=value_range,
+                reps=reps, seed=21, threads=threads,
+            )
+            width = (value_range[1] - value_range[0]) / bins
+            assert self._estimates(got) == [k / reps / width for k in want]
+
+    def test_mc_probability_below_one_chunk(self):
+        event = lambda p, params: running_max(p, params) <= 0.0
+        reps = 500
+        rng = RngStream(22, 0).generator()
+        sw = sampler.sample_switches_batch(3, 1.0, reps, rng)
+        want = sampler.max_is_zero_batch(MINUS, sw, 1.0, 1.0).sum() / reps
+        for threads in (1, 4):
+            got = sampler.mc_probability(
+                event, PARAMS, 1.0, reps, v0=MINUS, n=3, seed=22, threads=threads
+            )
+            assert got.estimate == want
+
+
+class TestFptLevel:
+    @pytest.mark.parametrize("beta", [None, 0.0, -0.5])
+    def test_fpt_histogram_needs_positive_level(self, beta):
+        with pytest.raises(ValueError, match="beta > 0"):
+            sampler.mc_density_histogram(
+                "fpt", PLUS, None, PARAMS, 1.0, bins=4, value_range=(0.0, 1.0), reps=100,
+                beta=beta,
+            )
