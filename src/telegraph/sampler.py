@@ -170,15 +170,17 @@ def running_max_batch(
 def first_passage_batch(
     v0: VelocitySign, switches: np.ndarray, t: float, c: float, beta: float
 ) -> np.ndarray:
-    """First times the paths reach level beta > 0; NaN where never reached."""
+    """First times the paths reach level beta: 0 for a level at or below
+    the start, NaN where never reached."""
     times, pos = vertices_batch(v0, switches, t, c)
     hit = pos >= beta
     reached = hit.any(axis=1)
     idx = np.argmax(hit, axis=1)
     rows = np.arange(pos.shape[0])
-    idx = np.maximum(idx, 1)  # idx 0 only occurs for unreached rows
+    idx = np.maximum(idx, 1)  # idx 0: unreached, or already at the level at s = 0
     # the crossing segment rises from below beta, so its slope is +c
     out = times[rows, idx - 1] + (beta - pos[rows, idx - 1]) / c
+    out[hit[:, 0]] = 0.0
     out[~reached] = np.nan
     return out
 

@@ -1,17 +1,18 @@
 """Numerical cross-checks for the telegraph law implementations.
 
-Four independent instruments: a hand-rolled adaptive Simpson integrator
-(so normalization audits do not depend on the code under test), a suite
-of pointwise identities between the implemented laws, a diffusion-limit
-comparison of the first-passage law against the Brownian one, and an
-exhaustive discrete enumeration that replays the reflection argument on
-simple random walks with exact integer counts.
+Independent instruments: total-mass audits by Gauss-Legendre rules, exact
+up to rounding on each law's polynomial pieces; a hand-written adaptive
+Simpson integrator for the Monte Carlo expected masses; pointwise identities
+between the implemented laws; a diffusion-limit comparison of the first-passage
+law against the Brownian one; and an exhaustive random-walk enumeration that
+replays the reflection argument with exact integer counts.
 """
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
@@ -131,7 +132,6 @@ def run_identity_suite(
     with a fixed seed, so the suite is reproducible.
     """
     ct = c * t
-    params = MotionParams(c, 1.0)
     results: List[CheckResult] = []
 
     def add(name, worst, tol, detail=""):
@@ -250,17 +250,33 @@ def run_identity_suite(
 # Normalization audits
 
 
+@functools.lru_cache(maxsize=256)
+def _legendre(nodes: int) -> tuple:
+    from numpy.polynomial.legendre import leggauss  # kept off the package import
+    x, w = leggauss(nodes)
+    return tuple(zip(x.tolist(), w.tolist()))
+
+
+def _gauss(f: Callable[[float], float], pieces: Sequence[float], nodes: int) -> float:
+    """Gauss-Legendre integral over consecutive pieces, exact to degree 2*nodes - 1."""
+    total = 0.0
+    for lo, hi in zip(pieces[:-1], pieces[1:]):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        total += half * sum(w * f(mid + half * x) for x, w in _legendre(nodes))
+    return total
+
+
 def normalization_suite(
-    n_max: int = 8, t: float = 1.0, c: float = 1.0, abs_tol: float = 1e-9
+    n_max: int = 64, t: float = 1.0, c: float = 1.0, abs_tol: float = 1e-9
 ) -> List[CheckResult]:
-    """Total-mass audits of every conditional law, by adaptive quadrature.
+    """Total-mass audits of every conditional law, by exact Gauss-Legendre rules.
 
     For each (v0, n <= n_max): the position density integrates to 1; the
     maximum's density plus its atom at zero sums to 1; the continuous
-    joint density plus every singular piece (maximum attained at the
-    endpoint, the diagonal line for one switch, maximum stuck at zero)
-    sums to 1; and the first-passage density plus its atom accounts for
-    the crossing probability 1 - P{M <= beta}.
+    joint density (a tensor rule over its wedge) plus every singular piece
+    (maximum attained at the endpoint, the diagonal line for one switch,
+    maximum stuck at zero) sums to 1; and the first-passage density plus its
+    atom accounts for the crossing probability 1 - P{M <= beta}.
     """
     ct = c * t
     results: List[CheckResult] = []
@@ -272,44 +288,27 @@ def normalization_suite(
     for v0 in (VelocitySign.PLUS, VelocitySign.MINUS):
         sgn = v0.value_sign
         for n in range(1, n_max + 1):
-            mass = quadrature(
-                lambda x: laws.position_pdf(sgn, n, x, t, c), -ct, ct, 1e-12, edges=(0.0,)
-            )
+            m = n // 2 + 2  # every piece has degree <= n - 1: one node of margin or more
+            mass = _gauss(lambda x: laws.position_pdf(sgn, n, x, t, c), (-ct, 0.0, ct), m)
             add(f"position-total-{v0.value}-n={n}", mass, 1.0)
 
-            mass = quadrature(lambda b: laws.max_pdf(v0, n, b, t, c), 0.0, ct, 1e-12)
+            mass = _gauss(lambda b: laws.max_pdf(v0, n, b, t, c), (0.0, ct), m)
             atom = laws.max_atom_zero(laws.Conditioning(v0, n)).value
             add(f"max-total-{v0.value}-n={n}", mass + atom, 1.0, f"atom at 0: {atom:g}")
 
-            def inner(b):
-                lo = 2.0 * b - ct
-                if not lo < b:
-                    return 0.0
-                return quadrature(
-                    lambda x: laws.joint_pdf(v0, n, b, x, t, c), lo, b, 1e-12
+            # at M = b: wedge section, lines M = T and T = 2M - ct, slice M = 0 at T = -b
+            def section(b):
+                return (
+                    _gauss(lambda x: laws.joint_pdf(v0, n, b, x, t, c), (2.0 * b - ct, b), m)
+                    + laws.joint_atom_max_equals_position_pdf(v0, n, b, t, c)
+                    + laws.joint_atom_diagonal_pdf(v0, n, b, t, c)
+                    + laws.joint_atom_max_zero_pdf(v0, n, -b, t, c)
                 )
 
-            joint = quadrature(inner, 0.0, ct, 3e-10)
-            joint += quadrature(
-                lambda b: laws.joint_atom_max_equals_position_pdf(v0, n, b, t, c),
-                0.0,
-                ct,
-                1e-12,
-            )
-            if v0 is VelocitySign.PLUS and n == 1:
-                joint += quadrature(
-                    lambda b: laws.joint_atom_diagonal_pdf(v0, n, b, t, c), 0.0, ct, 1e-12
-                )
-            if v0 is VelocitySign.MINUS:
-                joint += quadrature(
-                    lambda x: laws.joint_atom_max_zero_pdf(v0, n, x, t, c), -ct, 0.0, 1e-12
-                )
-            add(f"joint-total-{v0.value}-n={n}", joint, 1.0)
+            add(f"joint-total-{v0.value}-n={n}", _gauss(section, (0.0, ct), m), 1.0)
 
             beta = 0.4 * ct
-            mass = quadrature(
-                lambda s: laws.fpt_pdf(v0, n, beta, s, t, c), beta / c, t, 1e-12
-            )
+            mass = _gauss(lambda s: laws.fpt_pdf(v0, n, beta, s, t, c), (beta / c, t), m)
             if v0 is VelocitySign.PLUS:
                 mass += (1.0 - beta / ct) ** n
             add(

@@ -331,6 +331,68 @@ class TestReturnLaw:
             assert laws.return_pdf_unconditional(t, PARAMS) == pytest.approx(expected)
 
 
+def _poisson_mixture(conditional, lam_t):
+    """Sum over n = 1..149 of P{N(t) = n} * conditional(n), lam*t <= 15."""
+    return sum(
+        math.exp(n * math.log(lam_t) - lam_t - math.lgamma(n + 1)) * conditional(n)
+        for n in range(1, 150)
+    )
+
+
+class TestPoissonMixture:
+    """Each unconditional Bessel law is the Poisson(lam*t) mixture of the
+    conditional laws over the switch count (Kac 1974; Orsingher 1990)."""
+
+    REL = 1e-13
+
+    @pytest.fixture(params=[1.0, 5.0, 15.0], ids=lambda lam: f"lam={lam:g}")
+    def lam(self, request):
+        return request.param
+
+    @pytest.fixture(params=[(1.0, 1.0), (1.5, 2.0)], ids=["t=1,c=1", "t=1.5,c=2"])
+    def tc(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    def test_joint_density_and_lines(self, v0, tc, lam):
+        t, c = tc
+        ct, params = c * t, MotionParams(c, lam)
+        for beta in (0.2 * ct, 0.5 * ct, 0.8 * ct):
+            for frac in (0.1, 0.5, 0.9):
+                x = 2 * beta - ct + frac * (ct - beta)
+                got = _poisson_mixture(
+                    lambda n: laws.joint_pdf(v0, n, beta, x, t, c), lam * t
+                )
+                want = laws.joint_pdf_unconditional(v0, beta, x, t, params)
+                assert got == pytest.approx(want, rel=self.REL, abs=0.0)
+            got = _poisson_mixture(
+                lambda n: laws.joint_atom_max_equals_position_pdf(v0, n, beta, t, c), lam * t
+            )
+            want = laws.joint_atom_max_equals_position_pdf_unconditional(v0, beta, t, params)
+            assert got == pytest.approx(want, rel=self.REL, abs=0.0)
+            if v0 is MINUS:
+                got = _poisson_mixture(
+                    lambda n: laws.joint_atom_max_zero_pdf(v0, n, -beta, t, c), lam * t
+                )
+                want = laws.joint_atom_max_zero_pdf_unconditional(v0, -beta, t, params)
+                assert got == pytest.approx(want, rel=self.REL, abs=0.0)
+
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    def test_first_passage_at_the_horizon(self, v0, tc, lam):
+        t, c = tc
+        params = MotionParams(c, lam)
+        for beta in (0.2 * c * t, 0.5 * c * t, 0.8 * c * t):
+            got = _poisson_mixture(lambda n: laws.fpt_pdf(v0, n, beta, t, t, c), lam * t)
+            want = laws.fpt_pdf_unconditional(v0, beta, t, params)
+            assert got == pytest.approx(want, rel=self.REL, abs=0.0)
+
+    def test_return_at_the_horizon(self, tc, lam):
+        t, c = tc
+        got = _poisson_mixture(lambda n: laws.return_pdf_corrected(n, t, t), lam * t)
+        want = laws.return_pdf_unconditional(t, MotionParams(c, lam))
+        assert got == pytest.approx(want, rel=self.REL, abs=0.0)
+
+
 class TestQueryInterface:
     BASE = {"v0": "+", "t": 1.0, "c": 1.0, "lambda": 1.0}
 

@@ -103,6 +103,19 @@ class TestBatchFunctionals:
                 assert g == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    @pytest.mark.parametrize("n", [0, 1, 3, 8])
+    @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.3])
+    def test_first_passage_matches_scalar_at_any_level(self, v0, n, beta):
+        switches = sampler.sample_switches_batch(n, 1.0, 50, RngStream(8).generator())
+        got = sampler.first_passage_batch(v0, switches, 1.0, 1.0, beta)
+        for g, row in zip(got, switches):
+            want = first_passage(TelegraphPath(v0, 1.0, tuple(row)), beta, PARAMS)
+            if want is None:
+                assert math.isnan(g)
+            else:
+                assert g == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
     def test_first_return_matches_scalar(self, v0):
         got = sampler.first_return_batch(v0, self.switches, 1.0, 1.0)
         for g, p in zip(got, self._paths(v0)):

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
-from telegraph import verify
+from telegraph import Conditioning, MotionParams, VelocitySign, laws, verify
 from telegraph.verify import CheckResult, QuadratureError, quadrature
+
+PLUS = VelocitySign.PLUS
+MINUS = VelocitySign.MINUS
 
 
 class TestQuadrature:
@@ -29,6 +32,90 @@ class TestQuadrature:
     def test_reversed_interval_is_rejected(self):
         with pytest.raises(ValueError):
             quadrature(math.sin, 1.0, 0.0)
+
+
+class TestGaussRule:
+    # x**d turns a node's rounding error e into a relative error d*e, so the
+    # 34 nodes the default audit reaches at n = 64 are exact only to ~5e-14
+    @pytest.mark.parametrize(
+        "nodes,rel", [(1, 1e-14), (2, 1e-14), (3, 1e-14), (5, 1e-14), (17, 1e-14), (34, 2e-13)]
+    )
+    def test_exact_for_degree_up_to_2m_minus_1(self, nodes, rel):
+        a, b = 0.3, 1.7
+        for d in range(2 * nodes):
+            got = verify._gauss(lambda x: x**d, (a, b), nodes)
+            want = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
+            assert got == pytest.approx(want, rel=rel, abs=0.0), d
+
+    def test_pieces_add_up(self):
+        f = lambda x: abs(x - 0.3) ** 3
+        got = verify._gauss(f, (-1.0, 0.3, 2.0), 2)
+        assert got == pytest.approx((1.3**4 + 1.7**4) / 4, rel=1e-14)
+
+
+@pytest.fixture(scope="module")
+def normalization_64():
+    return verify.normalization_suite()
+
+
+class TestNormalizationSuite:
+    def test_default_runs_n_max_64_and_passes(self, normalization_64):
+        assert len(normalization_64) == 4 * 64 * 2
+        assert [r.name for r in normalization_64 if not r.passed] == []
+
+    def test_doubling_the_nodes_changes_no_total(self, normalization_64, monkeypatch):
+        # the rule is exact already, so twice the nodes agree up to rounding
+        gauss = verify._gauss
+        monkeypatch.setattr(
+            verify, "_gauss", lambda f, pieces, nodes: gauss(f, pieces, 2 * nodes)
+        )
+        doubled = verify.normalization_suite()
+        assert [r.name for r in doubled] == [r.name for r in normalization_64]
+        worst = max(abs(a.observed - b.observed) for a, b in zip(doubled, normalization_64))
+        assert worst <= 1e-13
+
+    def test_totals_match_adaptive_simpson(self):
+        # independent nested Simpson totals, at the tolerances the audit used
+        # before it moved to Gauss-Legendre rules
+        t = c = ct = 1.0
+        want = {}
+        for v0 in (PLUS, MINUS):
+            sgn = v0.value_sign
+            for n in range(1, 9):
+                want[f"position-total-{v0.value}-n={n}"] = quadrature(
+                    lambda x: laws.position_pdf(sgn, n, x, t, c), -ct, ct, 1e-12, edges=(0.0,)
+                )
+                want[f"max-total-{v0.value}-n={n}"] = quadrature(
+                    lambda b: laws.max_pdf(v0, n, b, t, c), 0.0, ct, 1e-12
+                ) + laws.max_atom_zero(Conditioning(v0, n)).value
+
+                def inner(b):
+                    if not 2.0 * b - ct < b:
+                        return 0.0
+                    return quadrature(
+                        lambda x: laws.joint_pdf(v0, n, b, x, t, c), 2.0 * b - ct, b, 1e-12
+                    )
+
+                def lines(b):
+                    return laws.joint_atom_max_equals_position_pdf(
+                        v0, n, b, t, c
+                    ) + laws.joint_atom_diagonal_pdf(v0, n, b, t, c)
+
+                want[f"joint-total-{v0.value}-n={n}"] = (
+                    quadrature(inner, 0.0, ct, 3e-10)
+                    + quadrature(lines, 0.0, ct, 1e-12)
+                    + quadrature(
+                        lambda x: laws.joint_atom_max_zero_pdf(v0, n, x, t, c), -ct, 0.0, 1e-12
+                    )
+                )
+                beta = 0.4 * ct
+                want[f"fpt-vs-max-cdf-{v0.value}-n={n}"] = quadrature(
+                    lambda s: laws.fpt_pdf(v0, n, beta, s, t, c), beta / c, t, 1e-12
+                ) + laws.fpt_atom(Conditioning(v0, n), beta, t, MotionParams(c, 1.0)).value
+        got = {r.name: r.observed for r in verify.normalization_suite(n_max=8)}
+        assert got.keys() == want.keys()
+        worst = max(abs(got[k] - want[k]) for k in want)
+        assert worst <= 1e-12
 
 
 class TestSuites:
