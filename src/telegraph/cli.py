@@ -105,9 +105,9 @@ def cmd_eval(args) -> int:
         if grid is None and point is None:
             print(f"eval --law {args.law} needs --{var} or --{var}-grid", file=sys.stderr)
             return 2
-        grids.append([point] if grid is None else [float(v) for v in grid])
-    points = list(itertools.product(*grids))
-    values = [law.value(*point) for point in points]
+        grids.append([point] if grid is None else grid.tolist())
+    # one call on the whole grid, flattened in itertools.product order
+    values = law.values(*np.meshgrid(*grids, indexing="ij")).ravel().tolist()
     # singular components reported as separate atom rows
     atoms = [(*cells, atom.kind, atom.value, atom.at) for cells, atom in law.atoms]
 
@@ -117,7 +117,8 @@ def cmd_eval(args) -> int:
         if args.law == "joint":
             base["component"] = args.component
         rows = [(*map(dict(zip(law.free, point)).get, _CELLS), law.kind, value,
-                 law.at.format(*point)) for point, value in zip(points, values)]
+                 law.at.format(*point))
+                for point, value in zip(itertools.product(*grids), values)]
         keys = (*_CELLS, "kind", "value", "at")
         payload = [{**base, **dict(zip(keys, row))} for row in rows + atoms]
         _emit([json.dumps(payload, indent=2)], args.output)
@@ -130,7 +131,7 @@ def cmd_eval(args) -> int:
            + f",{law.kind},{{{len(law.free)}}},{_csv_cell(law.at)}")
     lines = ["law,v0,n,t,c,lambda,beta,x,s,kind,value,at"]
     texts = itertools.product(*([repr(v) for v in grid] for grid in grids))
-    lines += [row.format(*text, value) for text, value in zip(texts, values)]
+    lines += [row.format(*text, value) for text, value in zip(texts, map(repr, values))]
     lines += [prefix + ",".join(map(_csv_cell, atom)) for atom in atoms]
     _emit(lines, args.output)
     return 0
@@ -151,7 +152,7 @@ def cmd_simulate(args) -> int:
         law = laws.resolve(args.functional, args.v0, args.n, args.t, args.c, args.lam,
                            beta=args.beta)
         if law.kind == "density":
-            analytic = law.pdf
+            analytic = law.values
     seed = _default_seed(args.seed)
     bins = mc_density_histogram(
         args.functional, v0, args.n, params, args.t, args.bins, args.range,

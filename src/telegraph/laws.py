@@ -5,9 +5,19 @@ the number of switches in [0, t].
 
 Conventions
 -----------
-* Reciprocal factorials at negative integers evaluate to 0 (reciprocal Gamma
-  convention).  This collapses small-k edge cases of the joint densities to
-  their correct null values.
+* Every law is a numpy array function of its variables: they broadcast
+  against each other, and a scalar is the size-1 case (it gives a scalar
+  back, rounded as it is in a grid).  Arguments are finite (a non-finite
+  one may give NaN); ``Resolved.values`` rejects the others first.
+* Given (v0, n), a conditional law is a polynomial in the scaled variables
+  u = x/ct, b = beta/ct or sigma = s/t, divided by ct (ct^2 for the joint
+  density, t for the passage laws).  Its coefficients are ratios of binomials,
+  each computed once per call as one correctly rounded integer division, and
+  its large powers are taken on bounded factors such as (1 - u)(1 + u) <= 1.
+  So the position, maximum and joint laws stay finite up to n = 10^4.  The
+  first-passage and return laws stay finite up to n of about 1020; beyond,
+  their largest coefficient leaves the float range and they raise
+  OverflowError.
 * Evaluators return 0 outside their stated supports.  The single exception is
   a first-passage/return query at s > t, which raises: that region is
   unspecified rather than zero.
@@ -15,22 +25,21 @@ Conventions
   exp(-z) * I_r(z), so no intermediate exp overflow can occur.
 
 The table ``LAWS`` holds every law a query can name.  ``resolve`` binds a
-query's fixed part once and returns a scalar function of the law's free
+query's fixed part once and returns the law as an array function of its free
 variables; ``evaluate_query`` and ``telegraph eval`` both go through it.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from .bessel import bessel_i_scaled
 from .params import MotionParams, VelocitySign
-
-_EXACT_FACT_LIMIT = 30
 
 
 class OutOfScopeError(ValueError):
@@ -66,90 +75,91 @@ class LawValue:
             raise ValueError(f"{self.kind} value {self.value} exceeds 1 ({self.at})")
 
 
-@functools.lru_cache(maxsize=4096)
-def _coef(num: tuple, den: tuple) -> float:
-    """Product of factorials in `num` over factorials in `den`, memoized.
-
-    Arguments are tuples so the result can be cached: the laws request a few
-    dozen distinct coefficients over millions of scalar calls.  A negative
-    argument in `den` makes the whole coefficient 0 (reciprocal Gamma at
-    non-positive integers); a negative argument in `num` raises ValueError.
-    Up to 30! the value is one true division of exact integer products, which
-    Python rounds correctly; beyond that it is accumulated in log space.
-    """
-    if any(m < 0 for m in den):
-        return 0.0
-    if any(m < 0 for m in num):
-        raise ValueError("negative factorial argument in numerator")
-    if all(m <= _EXACT_FACT_LIMIT for m in num + den):
-        return math.prod(map(math.factorial, num)) / math.prod(map(math.factorial, den))
-    lg = sum(math.lgamma(m + 1) for m in num) - sum(math.lgamma(m + 1) for m in den)
-    return math.exp(lg)
+def _arr(v):
+    # floats pass as they are; anything else becomes a float array (a numpy
+    # scalar if 0-d), so a scalar call does cheap scalar arithmetic
+    return v if isinstance(v, float) else np.asarray(v, dtype=float)[()]
 
 
-def _central_binom_mass(k: int) -> float:
-    # C(2k, k) / 4^k
-    return math.comb(2 * k, k) / 4.0**k
+def _zero(*arrays):
+    """Zeros in the broadcast shape of ``arrays``: a law that vanishes."""
+    return np.zeros(np.broadcast_shapes(*map(np.shape, arrays)))[()]
+
+
+def _on(inside, value):
+    """``value`` where ``inside`` holds and 0 elsewhere, for a finite ``value``:
+    the product is the value or a signed zero, and adding 0.0 clears the sign."""
+    return value * inside + 0.0
+
+
+def _pow(x, e: int):
+    """x**e for an integer e >= -1: a quotient, a product of up to 3 factors,
+    or ``np.power``.  None of these depends on the shape of x, so a size-1
+    call rounds as a grid call does."""
+    if e > 3:
+        return np.power(x, e)
+    return 1 / x if e < 0 else math.prod([x] * e, start=1.0)
+
+
+def _bump(u, a: int, b: int):
+    """(1 - u)^a (1 + u)^b for |u| <= 1 and integers a, b >= -1.
+
+    The common power is taken on (1 - u)(1 + u) <= 1, so no factor
+    overflows at large exponents."""
+    lo, hi = 1 - u, 1 + u
+    m = max(min(a, b), 0)
+    return _pow(lo * hi, m) * _pow(lo, a - m) * _pow(hi, b - m)
 
 
 # ---------------------------------------------------------------------------
 # position laws
 # ---------------------------------------------------------------------------
 
-def position_pdf(sign: int, n: int, x: float, t: float, c: float) -> float:
-    """Density of the position given V(0) = sign*c and n >= 1 switches."""
+def _position(n: int, u, sign: int):
+    """ct times the position density at u = x/ct given n switches and
+    V(0) = sign*c; sign 0 averages over the velocity."""
+    k, odd = divmod(n, 2)
+    if odd:
+        return math.comb(n, k) * (k + 1) / 2**n * _bump(u, k, k)
+    return math.comb(n, k) * k / 4**k * _bump(u, k - 1, k - 1) * (1 + sign * u)
+
+
+def position_pdf(sign: int, n: int, x, t: float, c: float):
+    """Density of the position given V(0) = sign*c and n >= 1 switches
+    (sign 0: velocity averaged)."""
     ct = c * t
-    if not (-ct <= x <= ct):
-        return 0.0
-    if n % 2 == 0:
-        k = n // 2
-        return (
-            _coef((2 * k,), (k, k - 1))
-            * (ct * ct - x * x) ** (k - 1)
-            * (ct + sign * x)
-            / (2 * ct) ** (2 * k)
-        )
-    k = (n - 1) // 2
-    return _coef((2 * k + 1,), (k, k)) * (ct * ct - x * x) ** k / (2 * ct) ** (2 * k + 1)
+    x = _arr(x)
+    if n == 0:
+        return _zero(x)
+    inside = (-ct <= x) & (x <= ct)
+    return _on(inside, _position(n, x / ct * inside, sign) / ct)
 
 
-def position_pdf_unsigned(n: int, x: float, t: float, c: float) -> float:
+def position_pdf_unsigned(n: int, x, t: float, c: float):
     """Density of the position given only N(t) = n (velocity averaged)."""
-    ct = c * t
-    if not (-ct <= x <= ct):
-        return 0.0
-    if n % 2 == 0:
-        k = n // 2
-        return (
-            _coef((2 * k,), (k, k - 1))
-            * (ct * ct - x * x) ** (k - 1)
-            * ct
-            / (2 * ct) ** (2 * k)
-        )
-    return position_pdf(+1, n, x, t, c)
+    return position_pdf(0, n, x, t, c)
 
 
 # ---------------------------------------------------------------------------
 # maximum laws
 # ---------------------------------------------------------------------------
 
-def max_pdf(v0: VelocitySign, n: int, beta: float, t: float, c: float) -> float:
+def max_pdf(v0: VelocitySign, n: int, beta, t: float, c: float):
     """Density of the running maximum on (0, ct), conditioned on (v0, n >= 1)."""
     ct = c * t
-    if not (0.0 <= beta <= ct):
-        return 0.0
+    beta = _arr(beta)
+    if n == 0:
+        return _zero(beta)
+    inside = (0.0 <= beta) & (beta <= ct)
+    b = beta / ct * inside
+    k, odd = divmod(n, 2)
     if v0 is VelocitySign.PLUS:
-        return 2.0 * position_pdf_unsigned(n, beta, t, c)
-    if n % 2 == 0:
-        return 2.0 * position_pdf(-1, n, beta, t, c)
-    k = (n - 1) // 2
-    return (
-        math.comb(2 * k + 1, k)
-        * (ct - beta) ** k
-        * (ct + beta) ** (k - 1)
-        * ((2 * k + 1) * ct + beta)
-        / (2 * ct) ** (2 * k + 1)
-    )
+        value = 2 * _position(n, b, 0)
+    elif not odd:  # classical reflection
+        value = 2 * _position(n, b, -1)
+    else:
+        value = math.comb(n, k) / 2**n * _bump(b, k, k - 1) * (n + b)
+    return _on(inside, value / ct)
 
 
 def max_atom_zero(cond: Conditioning) -> LawValue:
@@ -161,195 +171,148 @@ def max_atom_zero(cond: Conditioning) -> LawValue:
     if n == 0:
         return LawValue("atom", 1.0, at="M(t) = 0")
     k = (n + 1) // 2
-    return LawValue("atom", _central_binom_mass(k), at="M(t) = 0")
+    return LawValue("atom", math.comb(2 * k, k) / 4**k, at="M(t) = 0")
 
 
-def max_cdf_value(v0: VelocitySign, n: int, beta: float, t: float, c: float) -> float:
-    ct = c * t
-    if beta < 0:
-        return 0.0
-    if beta >= ct:
-        return 1.0
+def _max_cdf(v0: VelocitySign, n: int, b):
+    # P{M(t) <= b ct} for 0 <= b < 1
     if v0 is VelocitySign.PLUS:
-        if n == 0:
-            return 0.0
+        # b * sum_{j <= (n-1)/2} C(2j, j)/4^j (1 - b^2)^j, by Horner's rule;
+        # C(2j, j) steps down exactly, as C(2j - 2, j - 1) = C(2j, j) j / (4j - 2)
+        y, acc = (1 - b) * (1 + b), 0.0 * b
         k = (n - 1) // 2
-        acc = 0.0
-        for j in range(k + 1):
-            acc += math.comb(2 * j, j) * (ct * ct - beta * beta) ** j / (2 * ct) ** (2 * j)
-        return beta / ct * acc
-    if n % 2 == 0:
-        k = n // 2
-        plus = max_cdf_value(VelocitySign.PLUS, n, beta, t, c)
-        return plus + math.comb(2 * k, k) * (ct * ct - beta * beta) ** k / (2 * ct) ** (2 * k)
-    k = (n - 1) // 2
-    even = max_cdf_value(VelocitySign.MINUS, 2 * k, beta, t, c)
-    odd_plus = max_cdf_value(VelocitySign.PLUS, 2 * k + 1, beta, t, c)
-    return (2 * k + 1) / (2 * k + 2) * even + odd_plus / (2 * k + 2)
+        central = math.comb(2 * k, k) if n else 0
+        for j in range(k, -1, -1):
+            acc = acc * y + central / 4**j
+            central = central * j // (4 * j - 2) if j else 0
+        return b * acc
+    k, odd = divmod(n, 2)
+    if not odd:
+        return _max_cdf(VelocitySign.PLUS, n, b) + math.comb(n, k) / 4**k * _bump(b, k, k)
+    return (n * _max_cdf(VelocitySign.MINUS, n - 1, b) + _max_cdf(VelocitySign.PLUS, n, b)) / (
+        n + 1
+    )
+
+
+def max_cdf_value(v0: VelocitySign, n: int, beta, t: float, c: float):
+    """P{M(t) <= beta} given (v0, n)."""
+    ct = c * t
+    beta = _arr(beta)
+    inside = (0.0 <= beta) & (beta < ct)
+    return _on(inside, _max_cdf(v0, n, beta / ct * inside)) + (beta >= ct)
 
 
 # ---------------------------------------------------------------------------
 # joint laws (M(t), T(t)) given (v0, n)
 # ---------------------------------------------------------------------------
 
-def _in_wedge(beta: float, x: float, ct: float) -> bool:
-    return 0.0 <= beta <= ct and 2 * beta - ct <= x <= beta
+def _in_wedge(beta, x, ct):
+    return (0.0 <= beta) & (beta <= ct) & (2 * beta - ct <= x) & (x <= beta)
 
 
-def joint_pdf(
-    v0: VelocitySign, n: int, beta: float, x: float, t: float, c: float
-) -> float:
+def joint_pdf(v0: VelocitySign, n: int, beta, x, t: float, c: float):
     """Absolutely continuous part of the joint law, a density in (beta, x) on
-    the wedge 0 < beta < ct, 2*beta - ct < x < beta."""
+    the wedge 0 < beta < ct, 2*beta - ct < x < beta.  Here v = (2*beta - x)/ct
+    lies in (beta/ct, 1); one switch carries no absolutely continuous mass."""
     ct = c * t
-    if n == 0 or not _in_wedge(beta, x, ct):
-        return 0.0
-    w = 2 * beta - x  # in (beta, ct)
-    if n % 2 == 1 and v0 is VelocitySign.PLUS:
-        k = (n - 1) // 2
-        cb = _coef((2 * k + 1,), (k, k - 1))
-        if cb == 0.0:  # n = 1 carries no absolutely continuous mass
-            return 0.0
-        return cb * w * (ct * ct - w * w) ** (k - 1) / (
-            2.0 ** (2 * k - 1) * ct ** (2 * k + 1)
-        )
-    if n % 2 == 0:  # same expression for both starting signs
-        k = n // 2
-        first = k * (ct * ct - w * w) ** (k - 1)
-        second = 0.0 if k == 1 else (k - 1) * (ct - w) ** k * (ct + w) ** (k - 2)
-        return _coef((2 * k,), (k, k - 1)) * (first - second) / (
-            2.0 ** (2 * k - 1) * ct ** (2 * k)
-        )
-    k = (n - 1) // 2  # negative start, odd switch count
-    denom = 2.0 ** (2 * k) * ct ** (2 * k + 1)
-    first = _coef((2 * k + 1,), (k, k - 1)) * (ct - w) ** k * (ct + w) ** (k - 1)
-    cb = _coef((2 * k + 1,), (k + 1, k - 2))
-    second = 0.0 if cb == 0.0 else cb * (ct - w) ** (k + 1) * (ct + w) ** (k - 2)
-    return (first - second) / denom
+    beta, x = _arr(beta), _arr(x)
+    if n < 2:
+        return _zero(beta, x)
+    inside = _in_wedge(beta, x, ct)
+    v = (2 * beta - x) / ct * inside
+    k, odd = divmod(n, 2)
+    if not odd:  # same expression for both starting signs
+        value = math.comb(n, k) * k / 2 ** (n - 1) * _bump(v, k - 1, k - 2) * (1 + (n - 1) * v)
+    elif v0 is VelocitySign.PLUS:
+        value = math.comb(n, k) * k * (k + 1) / 2 ** (n - 2) * _bump(v, k - 1, k - 1) * v
+    else:
+        value = math.comb(n, k) * k / 2 ** (n - 2) * _bump(v, k, k - 2) * (1 + k * v)
+    return _on(inside, value / (ct * ct))
 
 
 def joint_atom_max_equals_position_pdf(
-    v0: VelocitySign, n: int, beta: float, t: float, c: float
-) -> float:
+    v0: VelocitySign, n: int, beta, t: float, c: float
+):
     """Density in beta of the singular line M(t) = T(t) = beta.  Nonzero only
     when the final velocity is +c: (PLUS, even n) and (MINUS, odd n)."""
     ct = c * t
-    if not (0.0 <= beta <= ct) or n == 0:
-        return 0.0
-    if v0 is VelocitySign.PLUS and n % 2 == 0:
-        k = n // 2
-        return (
-            _coef((2 * k,), (k, k - 1))
-            * 2
-            * beta
-            * (ct * ct - beta * beta) ** (k - 1)
-            / (2 * ct) ** (2 * k)
-        )
-    if v0 is VelocitySign.MINUS and n % 2 == 1:
-        k = (n - 1) // 2
-        if k == 0:
-            return 1.0 / (2 * ct)
-        return (
-            math.comb(2 * k + 1, k)
-            * (ct - beta) ** k
-            * (ct + beta) ** (k - 1)
-            * (ct + (2 * k + 1) * beta)
-            / (2 * ct) ** (2 * k + 1)
-        )
-    return 0.0
+    beta = _arr(beta)
+    k, odd = divmod(n, 2)
+    if n == 0 or (v0 is VelocitySign.PLUS) == bool(odd):
+        return _zero(beta)
+    inside = (0.0 <= beta) & (beta <= ct)
+    b = beta / ct * inside
+    if odd:
+        value = math.comb(n, k) / 2**n * _bump(b, k, k - 1) * (1 + n * b)
+    else:
+        value = math.comb(n, k) * k / 2 ** (n - 1) * _bump(b, k - 1, k - 1) * b
+    return _on(inside, value / ct)
 
 
-def joint_atom_diagonal_pdf(
-    v0: VelocitySign, n: int, beta: float, t: float, c: float
-) -> float:
+def joint_atom_diagonal_pdf(v0: VelocitySign, n: int, beta, t: float, c: float):
     """Density in beta of the line T(t) = 2M(t) - ct, carried entirely by the
     single-switch positive-start paths."""
     ct = c * t
-    if v0 is VelocitySign.PLUS and n == 1 and 0.0 <= beta <= ct:
-        return 1.0 / ct
-    return 0.0
+    beta = _arr(beta)
+    if v0 is VelocitySign.MINUS or n != 1:
+        return _zero(beta)
+    return _on((0.0 <= beta) & (beta <= ct), 1.0 / ct)
 
 
-def joint_atom_max_zero_pdf(
-    v0: VelocitySign, n: int, x: float, t: float, c: float
-) -> float:
+def joint_atom_max_zero_pdf(v0: VelocitySign, n: int, x, t: float, c: float):
     """Density in x on the slice M(t) = 0, x in (-ct, 0], negative start."""
     ct = c * t
-    if v0 is VelocitySign.PLUS or n == 0 or not (-ct <= x <= 0.0):
-        return 0.0
-    if n % 2 == 0:
-        return position_pdf(-1, n, x, t, c) - position_pdf(+1, n, x, t, c)
-    k = (n - 1) // 2
-    if k == 0:
-        return 1.0 / (2 * ct)
-    return (
-        math.comb(2 * k + 1, k)
-        * (ct - x) ** (k - 1)
-        * (ct + x) ** k
-        * (ct - (2 * k + 1) * x)
-        / (2 * ct) ** (2 * k + 1)
-    )
+    x = _arr(x)
+    if v0 is VelocitySign.PLUS or n == 0:
+        return _zero(x)
+    inside = (-ct <= x) & (x <= 0.0)
+    u = x / ct * inside
+    k, odd = divmod(n, 2)
+    if odd:
+        value = math.comb(n, k) / 2**n * _bump(u, k - 1, k) * (1 - n * u)
+    else:  # position density for V(0) = -c minus the one for V(0) = +c
+        value = math.comb(n, k) * k / 2 ** (n - 1) * _bump(u, k - 1, k - 1) * -u
+    return _on(inside, value / ct)
 
 
-def joint_cdf_in_max_pdf(
-    v0: VelocitySign, n: int, beta: float, x: float, t: float, c: float
-) -> float:
+def joint_cdf_in_max_pdf(v0: VelocitySign, n: int, beta, x, t: float, c: float):
     """Density in x of P{M(t) <= beta, T(t) in dx}: the three-branch form of
     the negative reflection principle, with its mirrored negative-start
     versions."""
     ct = c * t
-    if n == 0 or not (-ct < x < ct):
-        return 0.0
-    if beta < max(0.0, x):
-        return 0.0
-    sign = v0.value_sign
-    if beta >= (ct + x) / 2:
-        return position_pdf(sign, n, x, t, c)
-    w = 2 * beta - x
-    if v0 is VelocitySign.PLUS:
-        return position_pdf(+1, n, x, t, c) - position_pdf(-1, n, w, t, c)
-    if n % 2 == 0:
-        return position_pdf(-1, n, x, t, c) - position_pdf(-1, n, w, t, c)
-    k = (n - 1) // 2
-    sub = _coef((2 * k + 1,), (k + 1, k - 1))
-    correction = (
-        0.0 if sub == 0.0 else sub * (ct - w) ** (k + 1) * (ct + w) ** (k - 1)
-        / (2 * ct) ** (2 * k + 1)
-    )
-    return position_pdf(-1, n, x, t, c) - correction
+    beta, x = _arr(beta), _arr(x)
+    if n == 0:
+        return _zero(beta, x)
+    inside = (-ct < x) & (x < ct) & (beta >= 0.0) & (beta >= x)
+    # below (ct + x)/2 the level cuts paths, whose reflections at v are removed
+    cut = inside & (beta < (ct + x) / 2)
+    u, v = x / ct * inside, (2 * beta - x) / ct * cut
+    k, odd = divmod(n, 2)
+    if v0 is VelocitySign.PLUS or not odd:
+        above = _position(n, v, -1)
+    else:
+        above = math.comb(n, k) * k / 2**n * _bump(v, k + 1, k - 1)
+    value = _position(n, u, v0.value_sign) - _on(cut, above)
+    return _on(inside, value / ct)
 
 
-def joint_tail_in_position_pdf(
-    v0: VelocitySign, n: int, beta: float, x: float, t: float, c: float
-) -> float:
+def joint_tail_in_position_pdf(v0: VelocitySign, n: int, beta, x, t: float, c: float):
     """Density in beta of P{M(t) in dbeta, T(t) < x}, for beta in (0, ct)
     and x in (2*beta - ct, beta]."""
     ct = c * t
-    if n == 0 or not (0.0 < beta < ct) or not (2 * beta - ct < x <= beta):
-        return 0.0
-    w = 2 * beta - x
-    if n % 2 == 0:  # same for both starting signs
-        k = n // 2
-        return (
-            2
-            * _coef((2 * k,), (k, k - 1))
-            * (ct - w) ** k
-            * (ct + w) ** (k - 1)
-            / (2 * ct) ** (2 * k)
-        )
-    k = (n - 1) // 2
-    if v0 is VelocitySign.PLUS:
-        return (
-            _coef((2 * k + 1,), (k, k))
-            * (ct * ct - w * w) ** k
-            / (2.0 ** (2 * k) * ct ** (2 * k + 1))
-        )
-    cb = _coef((2 * k + 1,), (k + 1, k - 1))
-    if cb == 0.0:
-        return 0.0
-    return cb * (ct - w) ** (k + 1) * (ct + w) ** (k - 1) / (
-        2.0 ** (2 * k) * ct ** (2 * k + 1)
-    )
+    beta, x = _arr(beta), _arr(x)
+    if n == 0:
+        return _zero(beta, x)
+    inside = (0.0 < beta) & (beta < ct) & (2 * beta - ct < x) & (x <= beta)
+    v = (2 * beta - x) / ct * inside
+    k, odd = divmod(n, 2)
+    if not odd:  # same for both starting signs
+        value = math.comb(n, k) * k / 2 ** (n - 1) * _bump(v, k, k - 1)
+    elif v0 is VelocitySign.PLUS:
+        value = math.comb(n, k) * (k + 1) / 4**k * _bump(v, k, k)
+    else:
+        value = math.comb(n, k) * k / 4**k * _bump(v, k + 1, k - 1)
+    return _on(inside, value / ct)
 
 
 # ---------------------------------------------------------------------------
@@ -363,133 +326,140 @@ def joint_tail_in_position_pdf(
 JOINT_COMPONENTS = ("density", "max_equals_position", "diagonal", "max_zero", "corner")
 
 
-def _e_bessel(r: int, z: float, lam_t: float) -> float:
+def _e_bessel(r: int, z, lam_t: float):
     # exp(-lam*t) * I_r(z) with z <= lam*t, evaluated without overflow
-    return math.exp(z - lam_t) * bessel_i_scaled(r, z)
+    return np.exp(z - lam_t) * bessel_i_scaled(r, z)
 
 
 def joint_pdf_unconditional(
-    v0: VelocitySign, beta: float, x: float, t: float, params: MotionParams
-) -> float:
+    v0: VelocitySign, beta, x, t: float, params: MotionParams
+):
     """Continuous density of (M(t), T(t)) in (beta, x) on the wedge, given
     only the starting sign."""
     c, lam = params.c, params.lam
     ct, lam_t = c * t, params.lam * t
-    if not _in_wedge(beta, x, ct):
-        return 0.0
-    w = min(2 * beta - x, ct)
-    z = lam / c * math.sqrt(ct * ct - w * w)
+    beta, x = _arr(beta), _arr(x)
+    inside = _in_wedge(beta, x, ct)
+    w = np.minimum(2 * beta - x, ct) * inside
+    z = lam / c * np.sqrt(ct * ct - w * w)
     i0 = _e_bessel(0, z, lam_t)
     i1 = _e_bessel(1, z, lam_t)
     if v0 is VelocitySign.PLUS:
-        if w == ct:
-            # the edge x = 2*beta - ct, where z = 0: I_1(z)/z -> 1/2 gives
-            # I_1(z)/sqrt(ct - w) -> lam*sqrt(2*ct)/(2*c)
-            return lam * lam / (2 * c * c) * (1 + lam_t) * math.exp(-lam_t)
-        return (
+        # on the edge x = 2*beta - ct, where z = 0, I_1(z)/z -> 1/2 gives
+        # I_1(z)/sqrt(ct - w) -> lam*sqrt(2*ct)/(2*c)
+        edge = w == ct
+        gap = np.where(edge, ct, ct - w)  # any positive stand-in on the edge
+        value = (
             lam
-            / (c * math.sqrt(ct + w))
+            / (c * np.sqrt(ct + w))
             * (
-                lam * w / (c * math.sqrt(ct + w)) * i0
-                + (lam * w / (c * math.sqrt(ct - w)) + math.sqrt(ct - w) / (ct + w)) * i1
+                lam * w / (c * np.sqrt(ct + w)) * i0
+                + (lam * w / (c * np.sqrt(gap)) + np.sqrt(gap) / (ct + w)) * i1
             )
         )
-    q = math.sqrt((ct - w) / (ct + w))
+        value = np.where(edge, lam * lam / (2 * c * c) * (1 + lam_t) * math.exp(-lam_t), value)
+        return _on(inside, value)
+    q = np.sqrt((ct - w) / (ct + w))
     i2 = _e_bessel(2, z, lam_t)
     i3 = _e_bessel(3, z, lam_t)
-    return lam * lam / (2 * c * c) * (i0 + q * i1 - q * q * i2 - q**3 * i3)
+    return _on(inside, lam * lam / (2 * c * c) * (i0 + q * i1 - q * q * i2 - q * q * q * i3))
 
 
 def joint_atom_max_equals_position_pdf_unconditional(
-    v0: VelocitySign, beta: float, t: float, params: MotionParams
-) -> float:
+    v0: VelocitySign, beta, t: float, params: MotionParams
+):
     """Density in beta of the line M(t) = T(t) = beta, given only V(0)."""
     c, lam = params.c, params.lam
     ct, lam_t = c * t, params.lam * t
-    if not (0.0 < beta < ct):
-        return 0.0
-    z = lam / c * math.sqrt(ct * ct - beta * beta)
+    beta = _arr(beta)
+    inside = (0.0 < beta) & (beta < ct)
+    beta = np.where(inside, beta, 0.5 * ct)
+    root = np.sqrt(ct * ct - beta * beta)
+    z = lam / c * root
     if v0 is VelocitySign.PLUS:
-        return lam * beta / (c * math.sqrt(ct * ct - beta * beta)) * _e_bessel(1, z, lam_t)
-    return (
+        return _on(inside, lam * beta / (c * root) * _e_bessel(1, z, lam_t))
+    return _on(inside, (
         lam * beta / c * _e_bessel(0, z, lam_t)
-        + math.sqrt((ct - beta) / (ct + beta)) * _e_bessel(1, z, lam_t)
-    ) / (ct + beta)
+        + np.sqrt((ct - beta) / (ct + beta)) * _e_bessel(1, z, lam_t)
+    ) / (ct + beta))
 
 
 def joint_atom_diagonal_pdf_unconditional(
-    v0: VelocitySign, beta: float, t: float, params: MotionParams
-) -> float:
+    v0: VelocitySign, beta, t: float, params: MotionParams
+):
     """Density in beta of the line T(t) = 2M(t) - ct, positive start only."""
     if v0 is not VelocitySign.PLUS:
         raise ValueError("diagonal component exists only for a positive start")
     c, lam = params.c, params.lam
     ct, lam_t = c * t, params.lam * t
-    return lam * math.exp(-lam_t) / c if 0.0 < beta < ct else 0.0
+    beta = _arr(beta)
+    return _on((0.0 < beta) & (beta < ct), lam * math.exp(-lam_t) / c)
 
 
 def joint_atom_max_zero_pdf_unconditional(
-    v0: VelocitySign, x: float, t: float, params: MotionParams
-) -> float:
+    v0: VelocitySign, x, t: float, params: MotionParams
+):
     """Density in x on the slice M(t) = 0, negative start only."""
     if v0 is not VelocitySign.MINUS:
         raise ValueError("max_zero component exists only for a negative start")
     c, lam = params.c, params.lam
     ct, lam_t = c * t, params.lam * t
-    if not (-ct < x <= 0.0):
-        return 0.0
-    z = lam / c * math.sqrt(ct * ct - x * x)
-    return -lam * x / (c * (ct - x)) * _e_bessel(0, z, lam_t) + (
+    x = _arr(x)
+    inside = (-ct < x) & (x <= 0.0)
+    x = np.where(inside, x, -0.5 * ct)
+    root = np.sqrt(ct * ct - x * x)
+    z = lam / c * root
+    return _on(inside, -lam * x / (c * (ct - x)) * _e_bessel(0, z, lam_t) + (
         (ct + x) / (ct - x) - lam * x / c
-    ) / math.sqrt(ct * ct - x * x) * _e_bessel(1, z, lam_t)
+    ) / root * _e_bessel(1, z, lam_t))
 
 
 # ---------------------------------------------------------------------------
 # first-passage time laws
 # ---------------------------------------------------------------------------
 
-def fpt_pdf(
-    v0: VelocitySign, n: int, beta: float, s: float, t: float, c: float
-) -> float:
+def _check_horizon(s, t: float, law: str) -> None:
+    if np.any(s > t):
+        raise OutOfScopeError(f"{law} density for s > t is not available")
+
+
+def _check_level(beta) -> None:
+    if not np.all(beta > 0):
+        raise ValueError(f"level must be > 0, got {np.min(beta)}")
+
+
+def fpt_pdf(v0: VelocitySign, n: int, beta, s, t: float, c: float):
     """Density in s of the first passage across beta > 0 given (v0, N(t) = n).
 
     Support is (beta/c, t]; the region s > t is out of the theory's scope and
-    raises.  The j = 0 terms of the negative-start sums are evaluated in
-    cancelled form, so the support edge s = beta/c is regular.
+    raises.  In sigma = s/t and b = beta/ct the law is (1/t) times a sum of
+    terms (1 - sigma)^e (sigma - b)^j (sigma + b)^i times a linear factor; the
+    j = 0 term of the negative-start sum has i = -1 and that linear factor is
+    sigma + b, so the support edge sigma = b is regular.
     """
-    if s > t:
-        raise OutOfScopeError("first-passage density for s > t is not available")
-    if beta <= 0:
-        raise ValueError(f"level must be > 0, got {beta}")
-    if s < beta / c or n == 0:
-        return 0.0
-    disc = max(c * c * s * s - beta * beta, 0.0)  # >= 0 on the closed support
+    s, beta = _arr(s), _arr(beta)
+    _check_horizon(s, t, "first-passage")
+    _check_level(beta)
+    if n == 0:
+        return _zero(s, beta)
+    inside = s >= beta / c
+    sigma = np.where(inside, s / t, 1.0)
+    b = beta / (c * t) * inside
+    rise = np.maximum(sigma - b, 0.0)  # >= 0 on the closed support
     if v0 is VelocitySign.PLUS:
-        k = n // 2 if n % 2 == 0 else (n - 1) // 2
-        acc = 0.0
-        for j in range(1, k + 1):
-            e = n - 2 * j
-            acc += (
-                _coef((), (j, j - 1, e))
-                * (t - s) ** e
-                * disc ** (j - 1)
-                / (2 * c) ** (2 * j - 1)
-            )
-        return _coef((n,), ()) * beta / t**n * acc
-    # negative start
-    acc = 0.0
-    k = (n - 1) // 2 if n % 2 == 1 else n // 2
-    for j in range(0, k + 1):
-        e = n - 1 - 2 * j
-        rec = _coef((), (j, j + 1, e))
-        if rec == 0.0:
-            continue
-        if j == 0:
-            poly = 1.0  # (disc)^(-1) (cs - beta)(cs + beta) cancels exactly
-        else:
-            poly = disc ** (j - 1) * (c * s - beta) * (c * s + (2 * j + 1) * beta)
-        acc += rec * (t - s) ** e * poly / (2.0 ** (2 * j + 1) * c ** (2 * j))
-    return _coef((n,), ()) / t**n * acc
+        terms = (
+            math.comb(n, 2 * j) * math.comb(2 * j, j) * j / 2 ** (2 * j - 1)
+            * np.power(1 - sigma, n - 2 * j) * np.power(rise * (sigma + b), j - 1)
+            for j in range(1, n // 2 + 1)
+        )
+        return _on(inside, b * sum(terms, 0.0 * b) / t)
+    terms = (
+        math.comb(n, 2 * j + 1) * math.comb(2 * j + 1, j) / 2 ** (2 * j + 1)
+        * np.power(1 - sigma, n - 1 - 2 * j) * np.power(rise, j)
+        * np.power(sigma + b, j - 1) * (sigma + (2 * j + 1) * b)
+        for j in range((n + 1) // 2)
+    )
+    return _on(inside, sum(terms, 0.0 * b) / t)
 
 
 def fpt_atom(cond: Conditioning, beta: float, t: float, params: MotionParams) -> LawValue:
@@ -504,24 +474,22 @@ def fpt_atom(cond: Conditioning, beta: float, t: float, params: MotionParams) ->
     return LawValue("atom", (1.0 - beta / ct) ** n, at=at)
 
 
-def fpt_pdf_unconditional(
-    v0: VelocitySign, beta: float, t: float, params: MotionParams
-) -> float:
+def fpt_pdf_unconditional(v0: VelocitySign, beta: float, t, params: MotionParams):
     """Density in t of the first passage across beta > 0 given only V(0)."""
     c, lam = params.c, params.lam
-    if beta <= 0:
-        raise ValueError(f"level must be > 0, got {beta}")
-    if t <= beta / c:
-        return 0.0
+    _check_level(beta)
+    t = _arr(t)
+    inside = t > beta / c
+    t = np.where(inside, t, 2 * beta / c)
     ct, lam_t = c * t, lam * t
-    root = math.sqrt(ct * ct - beta * beta)
+    root = np.sqrt(ct * ct - beta * beta)
     z = lam / c * root
     if v0 is VelocitySign.PLUS:
-        return lam * beta / root * _e_bessel(1, z, lam_t)
-    return (
+        return _on(inside, lam * beta / root * _e_bessel(1, z, lam_t))
+    return _on(inside, (
         lam * beta * _e_bessel(0, z, lam_t)
-        + c * math.sqrt((ct - beta) / (ct + beta)) * _e_bessel(1, z, lam_t)
-    ) / (ct + beta)
+        + c * np.sqrt((ct - beta) / (ct + beta)) * _e_bessel(1, z, lam_t)
+    ) / (ct + beta))
 
 
 def fpt_atom_unconditional(
@@ -533,89 +501,59 @@ def fpt_atom_unconditional(
     return LawValue("atom", math.exp(-params.lam * beta / params.c), at=at)
 
 
-def fpt_endpoint_pdf(
-    v0: VelocitySign, n: int, beta: float, t: float, c: float
-) -> float:
+def fpt_endpoint_pdf(v0: VelocitySign, n: int, beta, t: float, c: float):
     """Closed form of the first-passage density at its endpoint s = t.
 
     Positive start needs n = 2k even (k >= 1), negative start n = 2k+1 odd;
     other parities have no mass at s = t.
     """
     ct = c * t
-    if not (0.0 < beta < ct):
-        return 0.0
-    disc = ct * ct - beta * beta
-    if v0 is VelocitySign.PLUS:
-        if n % 2 == 1 or n == 0:
-            return 0.0
-        k = n // 2
-        return (
-            2
-            * _coef((2 * k - 1,), (k - 1, k - 1))
-            * disc ** (k - 1)
-            / (2 * ct) ** (2 * k - 1)
-            * beta
-            / t
-        )
-    if n % 2 == 0:
-        return 0.0
-    k = (n - 1) // 2
-    if k == 0:
-        return 1.0 / (2 * t)
-    return (
-        math.comb(2 * k + 1, k)
-        * disc ** (k - 1)
-        * (ct - beta)
-        * (ct + (2 * k + 1) * beta)
-        / (c ** (2 * k) * (2 * t) ** (2 * k + 1))
-    )
+    beta = _arr(beta)
+    k, odd = divmod(n, 2)
+    if n == 0 or (v0 is VelocitySign.PLUS) == bool(odd):
+        return _zero(beta)
+    inside = (0.0 < beta) & (beta < ct)
+    b = beta / ct * inside
+    if odd:
+        value = math.comb(n, k) / 2**n * _bump(b, k, k - 1) * (1 + n * b)
+    else:
+        value = math.comb(n, k) * k / 2 ** (n - 1) * _bump(b, k - 1, k - 1) * b
+    return _on(inside, value / t)
 
 
 # ---------------------------------------------------------------------------
 # return time to the origin
 # ---------------------------------------------------------------------------
 
-def _return_ac_sum(n: int, s: float, t: float) -> float:
-    # absolutely continuous sums of the printed conditional return laws
-    if n % 2 == 1:
-        k = (n - 1) // 2
-        js = range(1, k + 1)
-        exp_of = lambda j: 2 * k - 2 * j
-        pref = _coef((2 * k + 1,), ()) / t ** (2 * k + 1)
-    else:
-        k = n // 2
-        js = range(1, k)
-        exp_of = lambda j: 2 * k - 1 - 2 * j
-        pref = _coef((2 * k,), ()) / t ** (2 * k)
-    acc = 0.0
-    for j in js:
-        e = exp_of(j)
-        acc += (
-            _coef((), (j, j + 1, e))
-            * (t - s) ** e
-            * s ** (2 * j)
-            / 2.0 ** (2 * j + 1)
-        )
-    return pref * acc
+def _return_sum(n: int, s, t: float, first: int):
+    """(1/t) sum over j >= first of n!/(j! (j+1)! (n-1-2j)!) / 2^(2j+1)
+    (1 - s/t)^(n-1-2j) (s/t)^(2j): the printed conditional return laws, whose
+    j = 0 term is the inner first-passage atom."""
+    s = _arr(s)
+    _check_horizon(s, t, "return-time")
+    if n == 0:
+        return _zero(s)
+    inside = s >= 0.0
+    sigma = s / t * inside
+    terms = (
+        math.comb(n, 2 * j + 1) * math.comb(2 * j + 1, j) / 2 ** (2 * j + 1)
+        * np.power(1 - sigma, n - 1 - 2 * j) * np.power(sigma, 2 * j)
+        for j in range(first, (n + 1) // 2)
+    )
+    return _on(inside, sum(terms, 0.0 * sigma) / t)
 
 
-def return_pdf_printed(n: int, s: float, t: float) -> float:
+def return_pdf_printed(n: int, s, t: float):
     """Literal evaluation of the printed conditional return-time densities.
 
     The velocity sign is irrelevant.  Note the even-n sums are empty for
     n = 2 and this evaluator faithfully returns 0 there; see
     return_pdf_corrected for the form that matches simulation.
     """
-    if s > t:
-        raise OutOfScopeError("return-time density for s > t is not available")
-    if n < 1 or s < 0:
-        return 0.0
-    if n == 1:
-        return 1.0 / (2 * t)
-    return _return_ac_sum(n, s, t)
+    return _return_sum(n, s, t, first=1 if n > 1 else 0)
 
 
-def return_pdf_corrected(n: int, s: float, t: float) -> float:
+def return_pdf_corrected(n: int, s, t: float):
     """Conditional return-time density including the contribution of the
     singular first-passage component in the underlying convolution.
 
@@ -624,21 +562,16 @@ def return_pdf_corrected(n: int, s: float, t: float) -> float:
     n (t - s)^(n-1) / (2 t^n); the printed sums carry only the absolutely
     continuous part.  This form matches the order-statistics oracle.
     """
-    if s > t:
-        raise OutOfScopeError("return-time density for s > t is not available")
-    if n < 1 or s < 0:
-        return 0.0
-    atom_term = n * (t - s) ** (n - 1) / (2 * t**n)
-    ac = 0.0 if n == 1 else _return_ac_sum(n, s, t)
-    return ac + atom_term
+    return _return_sum(n, s, t, first=0)
 
 
-def return_pdf_unconditional(t: float, params: MotionParams) -> float:
+def return_pdf_unconditional(t, params: MotionParams):
     """Density exp(-lam*t) I_1(lam*t) / t of the first return to the origin;
     independent of c."""
-    if t <= 0:
-        return 0.0
-    return bessel_i_scaled(1, params.lam * t) / t
+    t = _arr(t)
+    inside = t > 0
+    t = np.where(inside, t, 1.0)
+    return _on(inside, bessel_i_scaled(1, params.lam * t) / t)
 
 
 # ---------------------------------------------------------------------------
@@ -674,11 +607,11 @@ class _Fixed:
 class _Law:
     """One entry of the law table.
 
-    ``free`` names the free variables in the order the point functions take
+    ``free`` names the free variables in the order the law functions take
     them.  ``at`` labels a value with one ``{var}`` field per free variable,
     or is a function of the fixed part when the label depends on it.
     ``cond`` and ``uncond`` bind a fixed part, with a switch count or with
-    only V(0), into a scalar function of the free variables; None marks a
+    only V(0), into an array function of the free variables; None marks a
     case the law does not have.  ``atoms`` gives the singular rows reported
     beside a grid, as ((beta, x, s), LawValue).  ``n0_at``, where set, labels
     the single atom of mass 1 that the law reduces to at n = 0.
@@ -686,8 +619,8 @@ class _Law:
 
     free: tuple
     at: Union[str, Callable[[_Fixed], str]]
-    cond: Optional[Callable[[_Fixed], Callable[..., float]]] = None
-    uncond: Optional[Callable[[_Fixed], Callable[..., float]]] = None
+    cond: Optional[Callable[[_Fixed], Callable[..., np.ndarray]]] = None
+    uncond: Optional[Callable[[_Fixed], Callable[..., np.ndarray]]] = None
     kind: str = "density"
     atoms: Callable[[_Fixed], tuple] = lambda q: ()
     n0_at: Optional[Callable[[_Fixed], str]] = None
@@ -772,10 +705,10 @@ LAWS = {
 
 @dataclass(frozen=True)
 class Resolved:
-    """A law with its fixed part bound, evaluated point by point.
+    """A law with its fixed part bound, evaluated on arrays of points.
 
-    ``pdf`` is a scalar function of the free variables ``free``.  ``at``
-    labels its value, field i taking free variable i.  ``atoms`` are the
+    ``pdf`` is an array function of the free variables ``free``.  ``at``
+    labels a value, field i taking free variable i.  ``atoms`` are the
     singular rows reported beside a grid, as ((beta, x, s), LawValue).
     """
 
@@ -784,18 +717,30 @@ class Resolved:
     free: tuple
     kind: str
     at: str
-    pdf: Callable[..., float]
+    pdf: Callable[..., np.ndarray]
     atoms: tuple
 
-    def value(self, *point: float) -> float:
-        """The law at one point, range-checked as a LawValue is."""
+    def values(self, *arrays) -> np.ndarray:
+        """The law on the broadcast free-variable arrays, range-checked as a
+        LawValue is; an error names the first point that fails."""
+        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+        for var, a in zip(self.free, arrays):
+            if not np.isfinite(a).all():
+                raise ValueError(f"law {self.law} needs a finite {var}, got {a[~np.isfinite(a)][0]}")
         try:
-            value = self.pdf(*point)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = self.pdf(*arrays)
         except OverflowError:
             raise _overflow(self.law, self.n) from None
-        if value < 0 or (value > 1 + 1e-12 and self.kind != "density"):
-            LawValue(self.kind, value, self.at.format(*point))  # raises the range error
-        return value
+        values = np.broadcast_to(values, np.broadcast_shapes(*(a.shape for a in arrays)))
+        if not np.isfinite(values).all():
+            raise _overflow(self.law, self.n)
+        bad = (values < 0) | ((values > 1 + 1e-12) & (self.kind != "density"))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            point = [a.flat[i] for a in arrays]
+            LawValue(self.kind, values.flat[i], self.at.format(*point))  # raises the range error
+        return values
 
 
 def resolve(
@@ -820,6 +765,10 @@ def resolve(
         raise ValueError(f"unknown law {law!r}")
     if law == "fpt" and beta is None:
         raise ValueError("law fpt needs a level beta")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"time t must be finite and > 0, got {t}")
+    if beta is not None and not math.isfinite(beta):
+        raise ValueError(f"level beta must be finite, got {beta}")
     cond = Conditioning(VelocitySign.from_str(v0), n)
     q = _Fixed(cond.v0, n, float(t), MotionParams(float(c), float(lam)),
                None if beta is None else float(beta))
@@ -861,7 +810,7 @@ def evaluate_query(query: dict) -> dict:
     if missing:
         raise ValueError(f"law {law.law} needs {', '.join(missing)}")
     point = [float(query[var]) for var in law.free]
-    return {"kind": law.kind, "value": law.value(*point), "at": law.at.format(*point)}
+    return {"kind": law.kind, "value": float(law.values(*point)), "at": law.at.format(*point)}
 
 
 def evaluate_query_json(line: str) -> str:

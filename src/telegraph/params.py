@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -36,7 +37,7 @@ class MotionParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.c > 0):
-            raise ValueError(f"speed must be > 0, got {self.c}")
-        if not (self.lam > 0):
-            raise ValueError(f"switching rate must be > 0, got {self.lam}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"speed must be finite and > 0, got {self.c}")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"switching rate must be finite and > 0, got {self.lam}")

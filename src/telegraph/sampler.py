@@ -328,7 +328,7 @@ def mc_density_histogram(
     seed: int = 0,
     threads: int = 1,
     beta: Optional[float] = None,
-    analytic: Optional[Callable[[float], float]] = None,
+    analytic: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> List[HistogramBin]:
     """Histogram density estimate of a path functional with bin-wise errors.
 
@@ -337,9 +337,11 @@ def mc_density_histogram(
     Paths are drawn in chunks as in :func:`mc_probability`, so the
     histogram depends only on (seed, reps).  Per bin, the density estimate
     is frequency/width with standard error sqrt(p(1-p)/reps)/width, where
-    an empty bin falls back to p = 1/reps so the error is never zero.  When
-    ``analytic`` (a density callable) is given, each bin carries a z-score
-    against the bin-averaged analytic value.
+    an empty bin falls back to p = 1/reps.  ``analytic``, where given, is a
+    density taking an array of points; it is called once, on 7 interior
+    points of every bin, and each bin carries its bin-averaged value and a
+    z-score against it.  A bin that holds every sample has error 0 and no
+    z-score.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
@@ -366,17 +368,19 @@ def mc_density_histogram(
 
     edges = np.linspace(lo, hi, bins + 1)
     width = (hi - lo) / bins
+    p_hat = counts / reps
+    estimate = p_hat / width
+    se = np.sqrt(np.maximum(p_hat, 1.0 / reps) * (1.0 - p_hat) / reps) / width
+    if analytic is not None:
+        # the bin average of the analytic density over 7 interior points per bin
+        ref = np.mean(analytic(np.linspace(edges[:-1], edges[1:], 9)[1:-1]), axis=0)
     out = []
     for i in range(bins):
-        p_hat = float(counts[i]) / reps
-        estimate = p_hat / width
-        se = float(np.sqrt(max(p_hat, 1.0 / reps) * (1.0 - p_hat) / reps)) / width
-        ref = z = None
+        r = z = None
         if analytic is not None:
-            # compare against the bin average of the analytic density
-            grid = np.linspace(edges[i], edges[i + 1], 9)[1:-1]
-            ref = float(np.mean([analytic(float(g)) for g in grid]))
-            z = (estimate - ref) / se
-        report = McReport(estimate, se, reps, ref, z)
+            r = float(ref[i])
+            if se[i] > 0.0:
+                z = float((estimate[i] - r) / se[i])
+        report = McReport(float(estimate[i]), float(se[i]), reps, r, z)
         out.append(HistogramBin(float(edges[i]), float(edges[i + 1]), report))
     return out

@@ -9,6 +9,7 @@ replays the reflection argument with exact integer counts.
 """
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -46,6 +47,11 @@ class CheckResult:
     expected: float
     tolerance: float
     detail: str = ""
+
+    def __post_init__(self):
+        # a NaN observation fails, whatever the comparison that made ``passed``
+        if math.isnan(self.observed):
+            object.__setattr__(self, "passed", False)
 
 
 class QuadratureError(RuntimeError):
@@ -113,9 +119,13 @@ def quadrature(
 # Identity suite
 
 
-def _grid(lo: float, hi: float, k: int) -> np.ndarray:
-    """k interior points of (lo, hi), endpoints excluded."""
-    return np.linspace(lo, hi, k + 2)[1:-1]
+def _grid(lo, hi, k: int) -> np.ndarray:
+    """k interior points of (lo, hi), endpoints excluded, along a last axis."""
+    return np.linspace(lo, hi, k + 2, axis=-1)[..., 1:-1]
+
+
+def _gap(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
 
 
 def run_identity_suite(
@@ -127,98 +137,70 @@ def run_identity_suite(
 ) -> List[CheckResult]:
     """Pointwise identities between the implemented laws on dense grids.
 
-    Each identity contributes one result summarizing the worst grid point.
-    The path-level min/max flip is checked on pseudorandomly drawn paths
-    with a fixed seed, so the suite is reproducible.
+    Each identity contributes one result summarizing the worst grid point;
+    every law is called once per switch count and sign, on the whole grid.
+    The path-level min/max flip is checked path by path on pseudorandomly
+    drawn paths with a fixed seed, so the suite is reproducible.
     """
     ct = c * t
+    ns = range(1, n_max + 1)
+    signs = (VelocitySign.PLUS, VelocitySign.MINUS)
+    levels = _grid(0.0, ct, grid_points)
+    # the wedge: a level per row, endpoints in (2*beta - ct, beta) along it
+    wedge_beta, wedge_x = levels[:, None], _grid(2.0 * levels - ct, levels, grid_points)
     results: List[CheckResult] = []
 
     def add(name, worst, tol, detail=""):
         results.append(CheckResult(name, worst <= tol, worst, 0.0, tol, detail))
 
     # running-max law versus reflected position densities
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        for beta in _grid(0.0, ct, grid_points):
-            for x in _grid(2.0 * beta - ct, beta, grid_points):
-                lhs = laws.position_pdf(
-                    1, n, x, t, c
-                ) - laws.joint_cdf_in_max_pdf(VelocitySign.PLUS, n, beta, x, t, c)
-                rhs = laws.position_pdf(-1, n, 2.0 * beta - x, t, c)
-                worst = max(worst, abs(lhs - rhs))
-    add("negative-reflection-pointwise", worst, 1e-12, f"n <= {n_max}")
+    add("negative-reflection-pointwise", max([_gap(
+        laws.position_pdf(1, n, wedge_x, t, c)
+        - laws.joint_cdf_in_max_pdf(VelocitySign.PLUS, n, wedge_beta, wedge_x, t, c),
+        laws.position_pdf(-1, n, 2.0 * wedge_beta - wedge_x, t, c),
+    ) for n in ns], default=0.0), 1e-12, f"n <= {n_max}")
 
     # maximum density doubles the position density at the level
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        for beta in _grid(0.0, ct, grid_points):
-            lhs = laws.max_pdf(VelocitySign.PLUS, n, beta, t, c)
-            rhs = 2.0 * laws.position_pdf_unsigned(n, beta, t, c)
-            worst = max(worst, abs(lhs - rhs))
-    add("max-density-doubles-position", worst, 1e-12)
+    add("max-density-doubles-position", max([_gap(
+        laws.max_pdf(VelocitySign.PLUS, n, levels, t, c),
+        2.0 * laws.position_pdf_unsigned(n, levels, t, c),
+    ) for n in ns], default=0.0), 1e-12)
 
     # classical reflection for the even downward-start case
-    worst = 0.0
-    for k in range(1, n_max // 2 + 1):
-        for beta in _grid(0.0, ct, grid_points):
-            lhs = laws.max_pdf(VelocitySign.MINUS, 2 * k, beta, t, c)
-            rhs = 2.0 * laws.position_pdf(-1, 2 * k, beta, t, c)
-            worst = max(worst, abs(lhs - rhs))
-    add("classical-reflection-even-minus", worst, 1e-12)
+    add("classical-reflection-even-minus", max([_gap(
+        laws.max_pdf(VelocitySign.MINUS, 2 * k, levels, t, c),
+        2.0 * laws.position_pdf(-1, 2 * k, levels, t, c),
+    ) for k in range(1, n_max // 2 + 1)], default=0.0), 1e-12)
 
     # time derivative of the max CDF equals -(beta/t) times the density
     worst = 0.0
     h = 1e-5 * t
-    for v0 in (VelocitySign.PLUS, VelocitySign.MINUS):
-        for n in range(1, 7):
-            for beta in _grid(0.0, ct * (1.0 - 2.0 * h / t), 9):
-                fd = -(
-                    laws.max_cdf_value(v0, n, beta, t + h, c)
-                    - laws.max_cdf_value(v0, n, beta, t - h, c)
-                ) / (2.0 * h)
-                ref = beta / t * laws.max_pdf(v0, n, beta, t, c)
-                scale = max(1.0, abs(ref))
-                worst = max(worst, abs(fd - ref) / scale)
+    betas = _grid(0.0, ct * (1.0 - 2.0 * h / t), 9)
+    for v0, n in itertools.product(signs, range(1, 7)):
+        fd = -(
+            laws.max_cdf_value(v0, n, betas, t + h, c) - laws.max_cdf_value(v0, n, betas, t - h, c)
+        ) / (2.0 * h)
+        ref = betas / t * laws.max_pdf(v0, n, betas, t, c)
+        worst = max(worst, float(np.max(np.abs(fd - ref) / np.maximum(1.0, np.abs(ref)))))
     add("max-cdf-time-derivative", worst, 1e-5, "central difference, step 1e-5*t")
 
     # first-passage density at the horizon: closed form, then max-density link
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        for v0 in (VelocitySign.PLUS, VelocitySign.MINUS):
-            for beta in _grid(0.0, ct, grid_points):
-                worst = max(
-                    worst,
-                    abs(
-                        laws.fpt_pdf(v0, n, beta, t, t, c)
-                        - laws.fpt_endpoint_pdf(v0, n, beta, t, c)
-                    ),
-                )
-    add("fpt-at-horizon-closed-form", worst, 1e-12)
+    add("fpt-at-horizon-closed-form", max([_gap(
+        laws.fpt_pdf(v0, n, levels, t, t, c), laws.fpt_endpoint_pdf(v0, n, levels, t, c)
+    ) for n, v0 in itertools.product(ns, signs)], default=0.0), 1e-12)
 
     # for an even count and upward start, that value is (beta/t) * max density
-    worst = 0.0
-    for k in range(1, n_max // 2 + 1):
-        for beta in _grid(0.0, ct, grid_points):
-            worst = max(
-                worst,
-                abs(
-                    laws.fpt_pdf(VelocitySign.PLUS, 2 * k, beta, t, t, c)
-                    - beta / t * laws.max_pdf(VelocitySign.PLUS, 2 * k, beta, t, c)
-                ),
-            )
-    add("fpt-at-horizon-vs-max-density", worst, 1e-12, "upward start, even count")
+    add("fpt-at-horizon-vs-max-density", max([_gap(
+        laws.fpt_pdf(VelocitySign.PLUS, 2 * k, levels, t, t, c),
+        levels / t * laws.max_pdf(VelocitySign.PLUS, 2 * k, levels, t, c),
+    ) for k in range(1, n_max // 2 + 1)], default=0.0), 1e-12,
+        "upward start, even count")
 
     # the M = T(t) atom mirrors the M = 0 atom across the origin
-    worst = 0.0
-    for n in range(1, n_max + 1, 2):
-        for beta in _grid(0.0, ct, grid_points):
-            lhs = laws.joint_atom_max_equals_position_pdf(
-                VelocitySign.MINUS, n, beta, t, c
-            )
-            rhs = laws.joint_atom_max_zero_pdf(VelocitySign.MINUS, n, -beta, t, c)
-            worst = max(worst, abs(lhs - rhs))
-    add("max-equals-position-mirrors-max-zero", worst, 1e-12)
+    add("max-equals-position-mirrors-max-zero", max([_gap(
+        laws.joint_atom_max_equals_position_pdf(VelocitySign.MINUS, n, levels, t, c),
+        laws.joint_atom_max_zero_pdf(VelocitySign.MINUS, n, -levels, t, c),
+    ) for n in range(1, n_max + 1, 2)], default=0.0), 1e-12)
 
     # pathwise min/max sign flip: negating the initial velocity negates paths
     rng = RngStream(seed, 900).generator()
@@ -234,14 +216,10 @@ def run_identity_suite(
     add("min-max-sign-flip", worst, 1e-12, "pathwise, 50 paths per n")
 
     # negating the initial velocity mirrors the position law across zero
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        for x in _grid(-ct, ct, grid_points):
-            worst = max(
-                worst,
-                abs(laws.position_pdf(1, n, x, t, c) - laws.position_pdf(-1, n, -x, t, c)),
-            )
-    add("position-law-velocity-mirror", worst, 1e-12)
+    xs = _grid(-ct, ct, grid_points)
+    add("position-law-velocity-mirror", max([_gap(
+        laws.position_pdf(1, n, xs, t, c), laws.position_pdf(-1, n, -xs, t, c)
+    ) for n in ns], default=0.0), 1e-12)
 
     return results
 
@@ -253,17 +231,20 @@ def run_identity_suite(
 @functools.lru_cache(maxsize=256)
 def _legendre(nodes: int) -> tuple:
     from numpy.polynomial.legendre import leggauss  # kept off the package import
-    x, w = leggauss(nodes)
-    return tuple(zip(x.tolist(), w.tolist()))
+    return leggauss(nodes)
 
 
-def _gauss(f: Callable[[float], float], pieces: Sequence[float], nodes: int) -> float:
-    """Gauss-Legendre integral over consecutive pieces, exact to degree 2*nodes - 1."""
-    total = 0.0
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        total += half * sum(w * f(mid + half * x) for x, w in _legendre(nodes))
-    return total
+def _gauss(f: Callable[[np.ndarray], np.ndarray], pieces: Sequence, nodes: int):
+    """Gauss-Legendre integral over consecutive pieces, exact to degree 2*nodes - 1.
+
+    The piece ends may be arrays of one shape, for a family of intervals: f is
+    called once, on the nodes of every piece along a new last axis, and the
+    integral has the shape of the ends.
+    """
+    x, w = _legendre(nodes)
+    ends = np.asarray(pieces, dtype=float)[..., None]
+    half, mid = 0.5 * (ends[1:] - ends[:-1]), 0.5 * (ends[1:] + ends[:-1])
+    return ((half * f(mid + half * x)) @ w).sum(axis=0)
 
 
 def normalization_suite(
@@ -289,17 +270,20 @@ def normalization_suite(
         sgn = v0.value_sign
         for n in range(1, n_max + 1):
             m = n // 2 + 2  # every piece has degree <= n - 1: one node of margin or more
-            mass = _gauss(lambda x: laws.position_pdf(sgn, n, x, t, c), (-ct, 0.0, ct), m)
+            mass = _gauss(lambda x: laws.position_pdf(sgn, n, x, t, c), (-ct, ct), m)
             add(f"position-total-{v0.value}-n={n}", mass, 1.0)
 
             mass = _gauss(lambda b: laws.max_pdf(v0, n, b, t, c), (0.0, ct), m)
             atom = laws.max_atom_zero(laws.Conditioning(v0, n)).value
             add(f"max-total-{v0.value}-n={n}", mass + atom, 1.0, f"atom at 0: {atom:g}")
 
-            # at M = b: wedge section, lines M = T and T = 2M - ct, slice M = 0 at T = -b
+            # at the levels M = b: wedge sections (a tensor rule), lines M = T
+            # and T = 2M - ct, slice M = 0 at T = -b
             def section(b):
+                wedge = _gauss(lambda x: laws.joint_pdf(v0, n, b[..., None], x, t, c),
+                               (2.0 * b - ct, b), m)
                 return (
-                    _gauss(lambda x: laws.joint_pdf(v0, n, b, x, t, c), (2.0 * b - ct, b), m)
+                    wedge
                     + laws.joint_atom_max_equals_position_pdf(v0, n, b, t, c)
                     + laws.joint_atom_diagonal_pdf(v0, n, b, t, c)
                     + laws.joint_atom_max_zero_pdf(v0, n, -b, t, c)
@@ -336,16 +320,15 @@ def return_printed_suite(t: float = 1.0, n_max: int = 5) -> List[CheckResult]:
     """
     results: List[CheckResult] = []
     ss = np.linspace(0.1 * t, 0.9 * t, 9)
+    oracle = 1.0 / t - ss / t**2
 
-    worst = max(
-        abs(laws.return_pdf_corrected(2, float(s), t) - (1.0 / t - s / t**2)) for s in ss
-    )
+    worst = _gap(laws.return_pdf_corrected(2, ss, t), oracle)
     results.append(
         CheckResult("return-corrected-n=2-oracle", worst <= 1e-12, worst, 0.0, 1e-12)
     )
 
-    gap = min(1.0 / t - s / t**2 for s in ss)
-    printed_max = max(abs(laws.return_pdf_printed(2, float(s), t)) for s in ss)
+    gap = float(oracle.min())
+    printed_max = float(np.max(np.abs(laws.return_pdf_printed(2, ss, t))))
     results.append(
         CheckResult(
             "return-printed-n=2-is-zero",
@@ -357,23 +340,17 @@ def return_printed_suite(t: float = 1.0, n_max: int = 5) -> List[CheckResult]:
         )
     )
 
-    worst = max(
-        abs(laws.return_pdf_corrected(1, float(s), t) - 0.5 / t) for s in ss
-    )
+    worst = _gap(laws.return_pdf_corrected(1, ss, t), 0.5 / t)
     results.append(
         CheckResult("return-corrected-n=1-constant", worst <= 1e-12, worst, 0.0, 1e-12)
     )
 
     # the corrected and printed variants differ by exactly the inner-atom
     # term for n >= 2; for n = 1 the printed value already is that term
-    worst = 0.0
-    for n in range(2, n_max + 1):
-        for s in ss:
-            diff = laws.return_pdf_corrected(n, float(s), t) - laws.return_pdf_printed(
-                n, float(s), t
-            )
-            term = n * (t - s) ** (n - 1) / (2.0 * t**n)
-            worst = max(worst, abs(diff - term))
+    worst = max([_gap(
+        laws.return_pdf_corrected(n, ss, t) - laws.return_pdf_printed(n, ss, t),
+        n * (t - ss) ** (n - 1) / (2.0 * t**n),
+    ) for n in range(2, n_max + 1)], default=0.0)
     results.append(
         CheckResult(
             "return-corrected-minus-printed-term",
@@ -449,8 +426,14 @@ def kac_limit_check(
     Under the scaling ``lambda = c**2`` the telegraph process converges to
     standard Brownian motion, whose first-passage density through beta is
     ``beta * exp(-beta**2 / (2 t)) / sqrt(2 pi t**3)``.  Checks the
-    relative error at the largest c and that the error shrinks as c grows.
+    relative error at the largest c and that the error shrinks as c grows,
+    so it needs at least two values of c and times t > 0.
     """
+    if len(c_values) < 2:
+        raise ValueError(f"need at least two c values to compare, got {len(c_values)}")
+    bad = [t for t in t_values if not t > 0]
+    if bad:
+        raise ValueError(f"time t must be > 0, got {bad[0]}")
     results: List[CheckResult] = []
     cs = sorted(c_values)
     for t in t_values:

@@ -101,11 +101,11 @@ class TestEval:
 
     def test_overflowing_law_value_is_domain_error(self, capsys):
         code, _, err = run_cli(
-            capsys, "eval", "--law", "fpt", "--n", "200", "--beta", "0.3", "--s", "0.5"
+            capsys, "eval", "--law", "fpt", "--n", "1100", "--beta", "0.3", "--s", "0.5"
         )
         assert code == 2
         assert err.startswith("error: ")
-        assert "law fpt at n = 200 overflows a float" in err
+        assert "law fpt at n = 1100 overflows a float" in err
         assert "Traceback" not in err
 
     def test_conditional_max_equals_position_component(self, capsys):
@@ -297,6 +297,31 @@ class TestKac:
         assert all(r["passed"] for r in rows)
 
 
+@pytest.mark.parametrize("argv,code", [
+    # domain checks where a query enters: the horizon, the free variables, c and lambda
+    ("eval --law position --n 5 --x 0 --t 0", 2),
+    ("eval --law position --n 5 --x 0 --t -1", 2),
+    ("eval --law position --n 5 --x 0 --t inf", 2),
+    ("eval --law position --n 5 --x nan", 2),
+    ("eval --law position --n 5 --x inf", 2),
+    ("eval --law joint --n 4 --beta 0.5 --x-grid=-1:nan:3", 2),
+    ("eval --law position --n 5 --x 0 --c inf", 2),
+    ("eval --law position --n 5 --x 0 --lambda nan", 2),
+    # kac: a horizon t > 0, two values of c to compare, finite lambda = c^2
+    ("kac --t 0", 2),
+    ("kac --c-values 1e300", 2),
+    ("kac --c-values 20 1e300", 2),
+    # one bin holding every sample has standard error 0 and no z-score
+    ("simulate --functional position --n 8 --range=-1:1 --bins 1 --reps 100", 0),
+])
+def test_exit_code_without_traceback(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv.split())
+    assert got == code, err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and out == ""
+
+
 # ---------------------------------------------------------------------------
 # every law table entry against direct calls of the law functions
 
@@ -389,9 +414,23 @@ def _cell(value):
     return "" if value is None else str(value)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, None])
-@pytest.mark.parametrize("v0", ["+", "-"])
-@pytest.mark.parametrize("law,component", sorted(laws.LAWS), ids=str)
+# every entry at small n, and the laws that stay finite at large n there
+_EVAL_CASES = [
+    (law, component, v0, n)
+    for (law, component), v0, counts in itertools.chain(
+        itertools.product(sorted(laws.LAWS), "+-", [(0, 1, 2, 3, 8, None)]),
+        itertools.product([key for key in sorted(laws.LAWS) if key[0] in ("position", "max", "joint")],
+                          "+-", [(1024, 10**4)]),
+        itertools.product([("fpt", None)], "+-", [(200,)]),
+    )
+    for n in counts
+]
+
+
+@pytest.mark.parametrize(
+    "law,component,v0,n",
+    [pytest.param(*case, id="-".join(map(str, case))) for case in _EVAL_CASES],
+)
 def test_eval_rows_equal_direct_law_calls(capsys, law, component, v0, n):
     argv = ["eval", "--law", law, "--v0", v0, "--t", str(T), "--c", str(C),
             "--lambda", str(LAM), "--beta", str(LEVEL)]
@@ -412,7 +451,8 @@ def test_eval_rows_equal_direct_law_calls(capsys, law, component, v0, n):
     expected = []
     for point in itertools.product(*grids):
         cells = dict(zip(free, point))
-        expected.append((cells.get("beta"), cells.get("x"), cells.get("s"), *at_point(*point)))
+        kind, value, at = at_point(*point)
+        expected.append((cells.get("beta"), cells.get("x"), cells.get("s"), kind, float(value), at))
     expected += atoms
     assert (code, json_code) == (0, 0)
 

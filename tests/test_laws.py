@@ -14,50 +14,200 @@ PLUS = VelocitySign.PLUS
 MINUS = VelocitySign.MINUS
 
 
-def _fraction_coef(num, den):
-    # exact rational reference for laws._coef
-    if any(m < 0 for m in den):
-        return 0.0
-    f = Fraction(1)
-    for m in num:
-        f *= math.factorial(m)
-    for m in den:
-        f /= math.factorial(m)
-    return float(f)
+# ---------------------------------------------------------------------------
+# exact rational oracles: the printed factorial forms of the conditional laws
+# in Fractions, at ct = 1 and dyadic points, where every input is exact in float
 
 
-def _coef_args(values):
-    # the argument shapes the laws request: (a,)/(b, c), ()/(a, b, c), (a,)/()
-    for a, b, c in itertools.product(values, repeat=3):
-        yield (a,), (b, c)
-        yield (), (a, b, c)
-    for a in values:
-        yield (a,), ()
+def _fact_ratio(num, den):
+    """prod(m! for m in num) / prod(m! for m in den), an exact integer; 0 when
+    some m in den is negative (reciprocal Gamma at non-positive integers)."""
+    if min(den, default=0) < 0:
+        return 0
+    quotient, rest = divmod(
+        math.prod(map(math.factorial, num)), math.prod(map(math.factorial, den))
+    )
+    assert rest == 0
+    return quotient
 
 
-class TestCoefficients:
-    def test_exact_range_matches_fraction_reference_to_the_bit(self):
-        for num, den in _coef_args(range(31)):
-            assert laws._coef(num, den).hex() == _fraction_coef(num, den).hex(), (num, den)
+def _position_oracle(sign, n, x):
+    k, odd = divmod(n, 2)
+    if odd:
+        return _fact_ratio((n,), (k, k)) * (1 - x * x) ** k / 2**n
+    return _fact_ratio((n,), (k, k - 1)) * (1 - x * x) ** (k - 1) * (1 + sign * x) / 4**k
 
-    def test_log_space_range_matches_fraction_reference(self):
-        values = sorted({*range(0, 61, 3), 31})
-        for num, den in _coef_args(values):
-            if max(num + den) <= 30:
-                continue
-            assert laws._coef(num, den) == pytest.approx(
-                _fraction_coef(num, den), rel=1e-12, abs=0.0
-            ), (num, den)
 
-    def test_negative_denominator_argument_gives_zero(self):
-        assert laws._coef((3,), (1, -1)) == 0.0
-        assert laws._coef((), (-2,)) == 0.0
-        assert laws._coef((100,), (40, -1)) == 0.0
+def _max_oracle(v0, n, b):
+    k, odd = divmod(n, 2)
+    if v0 is PLUS:  # twice the velocity-averaged position density
+        return _position_oracle(+1, n, b) + _position_oracle(-1, n, b)
+    if not odd:
+        return 2 * _position_oracle(-1, n, b)
+    return math.comb(n, k) * (1 - b) ** k * (1 + b) ** (k - 1) * (n + b) / 2**n
 
-    def test_negative_numerator_argument_raises(self):
-        for _ in range(2):  # a raised error is not cached
-            with pytest.raises(ValueError):
-                laws._coef((-1,), (2,))
+
+def _line_oracle(v0, n, b):
+    # the singular line M = T
+    k, odd = divmod(n, 2)
+    if v0 is PLUS and not odd:
+        return _fact_ratio((n,), (k, k - 1)) * 2 * b * (1 - b * b) ** (k - 1) / 4**k
+    if v0 is MINUS and odd:
+        return math.comb(n, k) * (1 - b) ** k * (1 + b) ** (k - 1) * (1 + n * b) / 2**n
+    return Fraction(0)
+
+
+def _slice_oracle(v0, n, x):
+    # the slice M = 0
+    k, odd = divmod(n, 2)
+    if v0 is PLUS:
+        return Fraction(0)
+    if not odd:
+        return _position_oracle(-1, n, x) - _position_oracle(+1, n, x)
+    return math.comb(n, k) * (1 - x) ** (k - 1) * (1 + x) ** k * (1 - n * x) / 2**n
+
+
+def _joint_oracle(v0, n, b, x):
+    w = 2 * b - x
+    k, odd = divmod(n, 2)
+    if odd and v0 is PLUS:
+        return _fact_ratio((n,), (k, k - 1)) * w * (1 - w * w) ** (k - 1) / 2 ** (2 * k - 1)
+    if not odd:
+        second = 0 if k == 1 else (k - 1) * (1 - w) ** k * (1 + w) ** (k - 2)
+        return _fact_ratio((n,), (k, k - 1)) * (k * (1 - w * w) ** (k - 1) - second) / 2 ** (
+            2 * k - 1
+        )
+    first = _fact_ratio((n,), (k, k - 1)) * (1 - w) ** k * (1 + w) ** (k - 1)
+    cb = _fact_ratio((n,), (k + 1, k - 2))
+    second = 0 if cb == 0 else cb * (1 - w) ** (k + 1) * (1 + w) ** (k - 2)
+    return (first - second) / 4**k
+
+
+def _max_cdf_oracle(v0, n, b):
+    if v0 is PLUS:
+        # b * sum_{j <= (n-1)/2} C(2j, j) y^j / 4^j, y = p/q, in integers:
+        # nested as 1 + y/2 (1 + 3y/4 (1 + ...)), with one division at the end
+        y = 1 - b * b
+        num = den = 1
+        for j in range((n - 1) // 2, 0, -1):
+            num, den = den * y.denominator * 2 * j + num * y.numerator * (2 * j - 1), (
+                den * y.denominator * 2 * j
+            )
+        return b * Fraction(num, den) if n else Fraction(0)
+    k, odd = divmod(n, 2)
+    if not odd:
+        return _max_cdf_oracle(PLUS, n, b) + math.comb(n, k) * (1 - b * b) ** k / 4**k
+    return (n * _max_cdf_oracle(MINUS, n - 1, b) + _max_cdf_oracle(PLUS, n, b)) / (n + 1)
+
+
+def _fpt_oracle(v0, n, beta, s):
+    disc = s * s - beta * beta
+    if v0 is PLUS:
+        return beta * sum(
+            _fact_ratio((n,), (j, j - 1, n - 2 * j)) * (1 - s) ** (n - 2 * j) * disc ** (j - 1)
+            / 2 ** (2 * j - 1)
+            for j in range(1, n // 2 + 1)
+        )
+    total = Fraction(0)
+    for j in range(0, (n - 1) // 2 + 1):
+        poly = 1 if j == 0 else disc ** (j - 1) * (s - beta) * (s + (2 * j + 1) * beta)
+        total += (
+            _fact_ratio((n,), (j, j + 1, n - 1 - 2 * j)) * (1 - s) ** (n - 1 - 2 * j) * poly
+            / 2 ** (2 * j + 1)
+        )
+    return total
+
+
+def _return_oracle(n, s):
+    # the printed sums plus the inner first-passage atom n (1 - s)^(n-1) / 2
+    k, odd = divmod(n, 2)
+    top = k if odd else k - 1
+    printed = sum(
+        _fact_ratio((n,), (j, j + 1, n - 1 - 2 * j)) * (1 - s) ** (n - 1 - 2 * j) * s ** (2 * j)
+        / 2 ** (2 * j + 1)
+        for j in range(1, top + 1)
+    )
+    return printed + Fraction(n, 2) * (1 - s) ** (n - 1)
+
+
+F = Fraction
+ORACLE_N = [1, 2, 3, 8, 64, 1021, 1022, 1024, 4097, 10**4]
+PASSAGE_N = [8, 64, 170, 171, 200, 1000]
+
+
+def _points(n, points):
+    # every point up to n = 64, the first two beyond: a Fraction point costs
+    # milliseconds at n = 10^4
+    return points if n <= 64 else points[:2]
+
+
+def _check_oracle(cases):
+    """(float value, exact value) pairs: within 1e-12 relative where the exact
+    value is at least 1e-300, exactly 0 where it is 0."""
+    worst = 0.0
+    for got, want in cases:
+        want = float(want)
+        assert math.isfinite(got) and got >= 0.0, (got, want)
+        if want == 0.0:
+            assert got == 0.0
+        elif want >= 1e-300:
+            worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-12
+
+
+class TestExactRationalOracle:
+    """The array laws against the printed factorial forms in exact rationals,
+    over the switch counts where a factorial alone leaves the float range."""
+
+    @pytest.mark.parametrize("n", ORACLE_N)
+    def test_position_max_and_singular_parts(self, n):
+        xs = _points(n, [F(-1, 64), F(3, 16), F(-5, 16), F(7, 8)])
+        bs = _points(n, [F(1, 64), F(5, 16), F(7, 8)])
+        cases = []
+        for v0 in (PLUS, MINUS):
+            sign = v0.value_sign
+            got = laws.position_pdf(sign, n, np.array(xs, dtype=float), 1.0, 1.0)
+            cases += zip(got, (_position_oracle(sign, n, x) for x in xs))
+            got = laws.max_pdf(v0, n, np.array(bs, dtype=float), 1.0, 1.0)
+            cases += zip(got, (_max_oracle(v0, n, b) for b in bs))
+            got = laws.joint_atom_max_equals_position_pdf(v0, n, np.array(bs, dtype=float), 1.0, 1.0)
+            cases += zip(got, (_line_oracle(v0, n, b) for b in bs))
+            got = laws.joint_atom_max_zero_pdf(v0, n, -np.array(bs, dtype=float), 1.0, 1.0)
+            cases += zip(got, (_slice_oracle(v0, n, -b) for b in bs))
+        _check_oracle(cases)
+
+    @pytest.mark.parametrize("n", ORACLE_N)
+    def test_joint_density_both_signs(self, n):
+        wedge = _points(n, [(F(1, 16), F(1, 32)), (F(1, 8), F(-1, 16)), (F(1, 2), F(1, 4)),
+                            (F(3, 4), F(5, 8))])
+        beta, x = (np.array(col, dtype=float) for col in zip(*wedge))
+        cases = []
+        for v0 in (PLUS, MINUS):
+            got = laws.joint_pdf(v0, n, beta, x, 1.0, 1.0)
+            cases += zip(got, (_joint_oracle(v0, n, b, y) for b, y in wedge))
+        _check_oracle(cases)
+
+    @pytest.mark.parametrize("n", ORACLE_N)
+    def test_max_cdf(self, n):
+        bs = _points(n, [F(1, 64), F(5, 16), F(7, 8)])
+        cases = []
+        for v0 in (PLUS, MINUS):
+            got = laws.max_cdf_value(v0, n, np.array(bs, dtype=float), 1.0, 1.0)
+            cases += zip(got, (_max_cdf_oracle(v0, n, b) for b in bs))
+        _check_oracle(cases)
+
+    @pytest.mark.parametrize("n", PASSAGE_N)
+    def test_first_passage_and_return(self, n):
+        beta = F(1, 4)
+        ss = _points(n, [F(1, 2), F(15, 16), F(5, 16), F(1)])
+        grid = np.array(ss, dtype=float)
+        cases = []
+        for v0 in (PLUS, MINUS):
+            got = laws.fpt_pdf(v0, n, float(beta), grid, 1.0, 1.0)
+            cases += zip(got, (_fpt_oracle(v0, n, beta, s) for s in ss))
+        got = laws.return_pdf_corrected(n, grid, 1.0)
+        cases += zip(got, (_return_oracle(n, s) for s in ss))
+        _check_oracle(cases)
 
 
 class TestPositionLaw:

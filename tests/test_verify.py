@@ -142,6 +142,14 @@ class TestSuites:
         assert results
         assert all(r.passed for r in results)
 
+    def test_kac_rejects_what_it_cannot_compare(self):
+        with pytest.raises(ValueError, match="two c values"):
+            verify.kac_limit_check(c_values=(50.0,))
+        with pytest.raises(ValueError, match="t must be > 0"):
+            verify.kac_limit_check(t_values=(1.0, 0.0))
+        with pytest.raises(ValueError, match="switching rate"):
+            verify.kac_limit_check(c_values=(20.0, 1e300))
+
     def test_mc_cross_suite_passes_at_reduced_size(self):
         results = verify.mc_cross_suite(reps=40000, seed=0)
         assert results
@@ -158,6 +166,9 @@ class TestReporting:
         rows = json.loads(verify.results_to_json(self.RESULTS))
         assert [row["name"] for row in rows] == ["alpha", "beta"]
         assert rows[1]["passed"] is False
+
+    def test_nan_observation_fails(self):
+        assert not CheckResult("gamma", True, math.nan, 0.0, math.inf).passed
 
     def test_table_mentions_every_check(self):
         table = verify.results_to_table(self.RESULTS)
