@@ -328,21 +328,22 @@ def crossings_batch(switches: np.ndarray, horizon: float, c: float, beta: float)
     times, pos = vertices_batch(VelocitySign.PLUS, switches, horizon, c)
     tol = DEGENERATE_REL_TOL * horizon
     # a strict crossing fixes the sign of the segment's slope
-    up = (pos[:, :-1] < beta) & (pos[:, 1:] > beta)
-    has_up = up.any(axis=1)
-    h = np.argmax(up, axis=1) + 1  # displacement index, 1-based
-    down = (pos[:, :-1] > beta) & (pos[:, 1:] < beta)
-    down &= np.arange(1, pos.shape[1]) > h[:, None]
-    has_down = down.any(axis=1)
-    l = np.argmax(down, axis=1) + 1
+    up = (pos[:-1] < beta) & (pos[1:] > beta)
+    has_up = up.any(axis=0)
+    h = np.argmax(up, axis=0) + 1  # displacement index, 1-based
+    down = (pos[:-1] > beta) & (pos[1:] < beta)
+    down &= np.arange(1, pos.shape[0])[:, None] > h
+    has_down = down.any(axis=0)
+    l = np.argmax(down, axis=0) + 1
 
-    rows = np.arange(pos.shape[0])
-    t1 = times[rows, h - 1] + (beta - pos[rows, h - 1]) / c
-    t2 = times[rows, l - 1] + (pos[rows, l - 1] - beta) / c
-    ok = has_up & has_down & (pos[:, -1] < beta)
-    ok &= np.minimum(t1 - times[rows, h - 1], times[rows, h] - t1) > tol
-    ok &= np.minimum(t2 - times[rows, l - 1], times[rows, l] - t2) > tol
-    ok &= np.abs(pos - beta).min(axis=1) > tol
+    rows = np.arange(pos.shape[1])
+    t1 = times[h - 1, rows] + (beta - pos[h - 1, rows]) / c
+    t2 = times[l - 1, rows] + (pos[l - 1, rows] - beta) / c
+    ok = has_up & has_down & (pos[-1] < beta)
+    ok &= np.minimum(t1 - times[h - 1, rows], times[h, rows] - t1) > tol
+    ok &= np.minimum(t2 - times[l - 1, rows], times[l, rows] - t2) > tol
+    # pos is not needed any more: take the distances to the level in place
+    ok &= np.abs(np.subtract(pos, beta, out=pos), out=pos).min(axis=0) > tol
     return t1, t2, h, l, ok
 
 
@@ -374,20 +375,20 @@ def zero_return_crossings_batch(
     times, pos = vertices_batch(VelocitySign.MINUS, switches, horizon, c)
     tol = DEGENERATE_REL_TOL * horizon
     # both cut points lie on strict upward crossings
-    back = (pos[:, :-1] < 0.0) & (pos[:, 1:] > 0.0)
-    has_back = back.any(axis=1)
-    j1 = np.argmax(back, axis=1) + 1
-    up = (pos[:, :-1] < beta) & (pos[:, 1:] > beta)
-    up &= np.arange(1, pos.shape[1]) >= j1[:, None]
-    has_up = up.any(axis=1)
-    j2 = np.argmax(up, axis=1) + 1
+    back = (pos[:-1] < 0.0) & (pos[1:] > 0.0)
+    has_back = back.any(axis=0)
+    j1 = np.argmax(back, axis=0) + 1
+    up = (pos[:-1] < beta) & (pos[1:] > beta)
+    up &= np.arange(1, pos.shape[0])[:, None] >= j1
+    has_up = up.any(axis=0)
+    j2 = np.argmax(up, axis=0) + 1
 
-    rows = np.arange(pos.shape[0])
-    u1 = times[rows, j1 - 1] + (0.0 - pos[rows, j1 - 1]) / c
-    u2 = times[rows, j2 - 1] + (beta - pos[rows, j2 - 1]) / c
+    rows = np.arange(pos.shape[1])
+    u1 = times[j1 - 1, rows] + (0.0 - pos[j1 - 1, rows]) / c
+    u2 = times[j2 - 1, rows] + (beta - pos[j2 - 1, rows]) / c
     ok = has_back & has_up
-    ok &= np.minimum(u1 - times[rows, j1 - 1], times[rows, j1] - u1) > tol
-    ok &= np.minimum(u2 - times[rows, j2 - 1], times[rows, j2] - u2) > tol
+    ok &= np.minimum(u1 - times[j1 - 1, rows], times[j1, rows] - u1) > tol
+    ok &= np.minimum(u2 - times[j2 - 1, rows], times[j2, rows] - u2) > tol
     return u1, u2, j1, j2, ok
 
 

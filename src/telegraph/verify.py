@@ -1,8 +1,9 @@
 """Numerical cross-checks for the telegraph law implementations.
 
 Independent instruments: total-mass audits by Gauss-Legendre rules, exact
-up to rounding on each law's polynomial pieces; a hand-written adaptive
-Simpson integrator for the Monte Carlo expected masses; pointwise identities
+up to rounding on each law's polynomial pieces, which also give the Monte
+Carlo expected masses; a hand-written adaptive Simpson integrator for the
+tests; pointwise identities
 between the implemented laws; a diffusion-limit comparison of the first-passage
 law against the Brownian one; and an exhaustive random-walk enumeration that
 replays the reflection argument with exact integer counts.
@@ -379,35 +380,25 @@ def mc_cross_suite(reps: int = 200_000, seed: int = 0) -> List[CheckResult]:
 
     t = c = 1.0
     results: List[CheckResult] = []
+
+    def add(name, event, expected):
+        est = float(event.mean())
+        se = math.sqrt(expected * (1.0 - expected) / reps)
+        results.append(CheckResult(
+            name, abs(est - expected) <= 3 * se, est, expected, 3 * se, f"{reps} reps"))
+
     rng = RngStream(seed, 901).generator()
     for n in range(1, 7):
         sw = sample_switches_batch(n, t, reps, rng)
-        expected = laws.max_atom_zero(laws.Conditioning(VelocitySign.MINUS, n)).value
-        est = float(max_is_zero_batch(VelocitySign.MINUS, sw, t, c).mean())
-        se = math.sqrt(expected * (1.0 - expected) / reps)
-        results.append(
-            CheckResult(
-                f"mc-max-zero-mass-n={n}", abs(est - expected) <= 3 * se, est, expected,
-                3 * se, f"{reps} reps",
-            )
-        )
-        # M = T(t) carries mass only when the final velocity is +c
+        add(f"mc-max-zero-mass-n={n}", max_is_zero_batch(VelocitySign.MINUS, sw, t, c),
+            laws.max_atom_zero(laws.Conditioning(VelocitySign.MINUS, n)).value)
+        # M = T(t) carries mass only when the final velocity is +c; its density is a
+        # polynomial of degree n - 1 in the level, so n + 2 nodes integrate it exactly
         v0 = VelocitySign.PLUS if n % 2 == 0 else VelocitySign.MINUS
-        expected = quadrature(
-            lambda b: laws.joint_atom_max_equals_position_pdf(v0, n, b, t, c),
-            0.0,
-            c * t,
-            1e-12,
-        )
-        est = float(max_equals_position_batch(v0, sw, t, c).mean())
-        se = math.sqrt(expected * (1.0 - expected) / reps)
-        results.append(
-            CheckResult(
-                f"mc-max-equals-position-mass-{v0.value}-n={n}",
-                abs(est - expected) <= 3 * se,
-                est, expected, 3 * se, f"{reps} reps",
-            )
-        )
+        mass = _gauss(lambda b: laws.joint_atom_max_equals_position_pdf(v0, n, b, t, c),
+                      (0.0, c * t), n + 2)
+        add(f"mc-max-equals-position-mass-{v0.value}-n={n}",
+            max_equals_position_batch(v0, sw, t, c), float(mass))
     return results
 
 
@@ -490,21 +481,26 @@ def random_walk_enumeration(n_max: int = 14) -> List[CheckResult]:
     number of walks with first step +1 that exceed beta and end at x must
     exactly equal the number of walks with first step -1 that end at
     2*beta - x.  Counts are exact integers over all 2**(n-1) walks per
-    starting step.
+    starting step, tabulated once per n by (endpoint, maximum), so each
+    (beta, x) case only reads the table.
     """
     if n_max > 20:
         raise ValueError("n_max > 20 would enumerate more than 2**19 walks")
     results: List[CheckResult] = []
     for n in range(2, n_max + 1):
         up = _walks(n, 1)
-        down = _walks(n, -1)
+        # exceed[x + n, beta] counts the walks from +1 that end at x with maximum > beta
+        table = np.bincount((up[:, -1] + n) * (n + 1) + up.max(axis=1),
+                            minlength=(2 * n + 1) * (n + 1)).reshape(2 * n + 1, n + 1)
+        exceed = table[:, :0:-1].cumsum(axis=1)[:, ::-1]
+        ends = np.bincount(_walks(n, -1)[:, -1] + n, minlength=2 * n + 1)
         worst = 0
         cases = 0
         detail = ""
         for beta in range(0, n - 1):
             for x in range(2 * (beta + 1) - n, beta + 1):
-                a = int(np.sum((up[:, -1] == x) & (up.max(axis=1) > beta)))
-                b = int(np.sum(down[:, -1] == 2 * beta - x))
+                a = int(exceed[x + n, beta])
+                b = int(ends[2 * beta - x + n])
                 cases += 1
                 if abs(a - b) > worst:
                     worst = abs(a - b)

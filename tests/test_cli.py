@@ -186,6 +186,17 @@ class TestSimulate:
         for row in rows[1:]:
             assert abs(float(row[5])) < 5.0
 
+    def test_sparse_tail_bin_scored_by_reference_error(self, capsys):
+        # bin (-0.95, -0.9) holds 1 sample against 7.1 expected: z = -2.29 under the
+        # reference's error, -6.13 under the single sample's own
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--functional", "position", "--v0", "+", "--n", "8", "--bins", "40",
+            "--range=-1:1", "--reps", "500000", "--seed", "663320248", "--threads", "2",
+        )
+        assert code == 0
+        assert max(abs(float(row[5])) for row in parse_csv(out)[1:]) < 4.0
+
     def test_seeded_runs_are_identical(self, capsys):
         args = (
             "simulate", "--functional", "max", "--v0", "-", "--n", "3",
@@ -313,6 +324,10 @@ class TestKac:
     ("kac --c-values 20 1e300", 2),
     # one bin holding every sample has standard error 0 and no z-score
     ("simulate --functional position --n 8 --range=-1:1 --bins 1 --reps 100", 0),
+    # simulate without a switch count checks the horizon itself
+    ("simulate --functional position --range=-1:1 --reps 100 --t 0", 2),
+    ("simulate --functional position --range=-1:1 --reps 100 --t -1", 2),
+    ("simulate --functional position --range=-1:1 --reps 100 --t nan", 2),
 ])
 def test_exit_code_without_traceback(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv.split())

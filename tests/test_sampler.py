@@ -16,6 +16,7 @@ from telegraph import (
     sample_unconditional,
 )
 from telegraph import laws, sampler
+from telegraph.path import _vertices
 
 PARAMS = MotionParams(c=1.0, lam=1.0)
 PLUS = VelocitySign.PLUS
@@ -133,6 +134,39 @@ class TestBatchFunctionals:
             assert s == (running_max(p, PARAMS) <= position_at(p, 1.0, PARAMS))
 
 
+class TestVertexMajorKernel:
+    """Column i of the vertex-major arrays is ``path._vertices`` of row i, bit for bit."""
+
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    @pytest.mark.parametrize("n", [0, 1, 2, 8, 64, 1000])
+    @pytest.mark.parametrize(
+        "m", [1, sampler._LOOP_MIN_PATHS - 1, sampler._LOOP_MIN_PATHS + 1]
+    )
+    def test_columns_equal_scalar_vertices(self, v0, n, m):
+        switches = sampler.sample_switches_batch(n, 1.3, m, RngStream(31, n).generator())
+        times, pos = sampler.vertices_batch(v0, switches, 1.3, 0.7)
+        assert times.shape == pos.shape == (n + 2, m)
+        for i, row in enumerate(switches):
+            want_times, want_pos = _vertices(TelegraphPath(v0, 1.3, tuple(row)), 0.7)
+            assert times[:, i].tolist() == want_times
+            assert pos[:, i].tolist() == want_pos
+
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    def test_wide_batch_hitting_times_match_scalar(self, v0):
+        m = sampler._LOOP_MIN_PATHS + 1
+        switches = sampler.sample_switches_batch(5, 1.0, m, RngStream(33).generator())
+        fpt = sampler.first_passage_batch(v0, switches, 1.0, 1.0, 0.2)
+        ret = sampler.first_return_batch(v0, switches, 1.0, 1.0)
+        for f, r, row in zip(fpt, ret, switches):
+            path = TelegraphPath(v0, 1.0, tuple(row))
+            wants = (first_passage(path, 0.2, PARAMS), first_return(path, PARAMS))
+            for got, want in zip((f, r), wants):
+                if want is None:
+                    assert math.isnan(got)
+                else:
+                    assert got == pytest.approx(want, abs=1e-12)
+
+
 class TestMcProbability:
     def test_reproducible_and_reports_z(self):
         event = lambda path, params: bool(path.switch_times) and path.switch_times[0] < 0.5
@@ -233,10 +267,13 @@ class TestChunkedDriver:
         [
             ("position", PLUS, 8, PARAMS),
             ("return", MINUS, None, MotionParams(c=1.0, lam=5.0)),
+            # Poisson groups of a few hundred paths, each with n near 1000
+            ("max", PLUS, None, MotionParams(c=1.0, lam=1000.0)),
         ],
     )
     def test_histogram_independent_of_threads(self, functional, v0, n, params):
-        reps = 3 * sampler.CHUNK + 1001
+        # at lambda = 1000 one chunk and a remainder of 5 rows keep the run short
+        reps = sampler.CHUNK + 5 if params.lam == 1000.0 else 3 * sampler.CHUNK + 1001
         got = [
             self._estimates(
                 sampler.mc_density_histogram(
