@@ -19,13 +19,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import laws
+from . import laws, reflection
 from .params import MotionParams, VelocitySign
 from .path import TelegraphPath, position_at
 from .reflection import (
-    DegeneratePathError,
+    CrossingPair,
     ReflectionContext,
-    ReflectionDomainError,
     classify_crossings,
     in_P_plus,
     negative_reflect,
@@ -186,26 +185,21 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-_SUITES = ("identities", "normalization", "mc-cross", "kac", "random-walk", "return-printed")
+#: --suite name -> its check suite, looked up in ``verify`` when it runs
+_SUITES = {
+    "identities": lambda seed: verify_mod.run_identity_suite(seed=seed),
+    "normalization": lambda seed: verify_mod.normalization_suite(),
+    "mc-cross": lambda seed: verify_mod.mc_cross_suite(seed=seed),
+    "kac": lambda seed: verify_mod.kac_limit_check(),
+    "random-walk": lambda seed: verify_mod.random_walk_enumeration(),
+    "return-printed": lambda seed: verify_mod.return_printed_suite(),
+}
 
 
 def cmd_verify(args) -> int:
     seed = _default_seed(args.seed)
     wanted = _SUITES if args.suite == "all" else (args.suite,)
-    results = []
-    for suite in wanted:
-        if suite == "identities":
-            results += verify_mod.run_identity_suite(seed=seed)
-        elif suite == "normalization":
-            results += verify_mod.normalization_suite()
-        elif suite == "mc-cross":
-            results += verify_mod.mc_cross_suite(seed=seed)
-        elif suite == "kac":
-            results += verify_mod.kac_limit_check()
-        elif suite == "random-walk":
-            results += verify_mod.random_walk_enumeration()
-        elif suite == "return-printed":
-            results += verify_mod.return_printed_suite()
+    results = [result for suite in wanted for result in _SUITES[suite](seed)]
     if args.format == "json":
         _emit([verify_mod.results_to_json(results)], args.output)
     else:
@@ -221,67 +215,73 @@ def cmd_verify(args) -> int:
 # reflect
 
 
-def _reflect_record(path: TelegraphPath, ctx: ReflectionContext) -> dict:
-    pair = classify_crossings(path, ctx)
-    image = negative_reflect(path, ctx)
-    back = negative_reflect_inverse(image, ctx)
-    residual = max(
-        (abs(a - b) for a, b in zip(path.switch_times, back.switch_times)),
-        default=0.0,
-    )
-    return {
-        "input": json.loads(path.to_json()),
-        "output": json.loads(image.to_json()),
-        "beta": ctx.beta,
-        "x": ctx.x,
+def _reflect_records(args, switches, xs, images, backs, h, l) -> List[str]:
+    """One JSON record per reflected upward-start path: the path and its
+    image, the level and endpoint, both crossing pairs, and the largest
+    switch-time error of the round trip."""
+    switches, images = np.asarray(switches, dtype=float), np.asarray(images, dtype=float)
+    residuals = np.abs(backs - switches).max(axis=1, initial=0.0).tolist()
+    fields = zip(switches.tolist(), images.tolist(), xs, map(CrossingPair, h, l), residuals)
+    return [json.dumps({
+        "input": {"v0": VelocitySign.PLUS.value, "t": args.t, "switches": row},
+        "output": {"v0": VelocitySign.MINUS.value, "t": args.t, "switches": image},
+        "beta": args.beta,
+        "x": x,
         "pair": [pair.h, pair.l],
         "image_pair": [pair.image().h, pair.image().l],
         "residual": residual,
-    }
+    }) for row, image, x, pair, residual in fields]
 
 
 def cmd_reflect(args) -> int:
     params = MotionParams(args.c, getattr(args, "lam"))
-    lines = []
     if args.switch_times is not None:
         times = tuple(float(v) for v in args.switch_times.split(",") if v)
         path = TelegraphPath(VelocitySign.PLUS, args.t, times)
-        x = position_at(path, args.t, params)
-        try:
-            ctx = ReflectionContext(args.beta, x, params, args.t)
-            lines.append(json.dumps(_reflect_record(path, ctx)))
-        except (ReflectionDomainError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        _emit(lines, args.output)
+        ctx = ReflectionContext(args.beta, position_at(path, args.t, params), params, args.t)
+        pair = classify_crossings(path, ctx)
+        image = negative_reflect(path, ctx)
+        back = negative_reflect_inverse(image, ctx)
+        _emit(_reflect_records(args, [times], [ctx.x], [image.switch_times],
+                               [back.switch_times], [pair.h], [pair.l]), args.output)
         return 0
 
+    ct = args.c * args.t
+    if not 0.0 <= args.beta < ct:
+        raise ValueError(f"reflect needs a level 0 <= beta < c*t = {ct}, got {args.beta}")
+    if args.n < 1:
+        raise ValueError("reflect needs --n >= 1: a path without a switch ends above beta")
     rng = RngStream(_default_seed(args.seed), 77).generator()
-    emitted = 0
+    lines = []
     attempts = 0
     max_attempts = 10000 * args.count
-    while emitted < args.count and attempts < max_attempts:
-        attempts += 1
-        path = sample_conditional(args.n, args.t, VelocitySign.PLUS, rng)
-        x = position_at(path, args.t, params)
-        ct = args.c * args.t
-        if not (2.0 * args.beta - ct < x <= args.beta):
-            continue
-        ctx = ReflectionContext(args.beta, x, params, args.t)
-        if not in_P_plus(path, ctx):
-            continue
-        try:
-            lines.append(json.dumps(_reflect_record(path, ctx)))
-        except DegeneratePathError:
-            continue
-        emitted += 1
+    while len(lines) < args.count and attempts < max_attempts:
+        # admit as many paths as records are missing, then transform them in one batch
+        rows, xs = [], []
+        while len(lines) + len(xs) < args.count and attempts < max_attempts:
+            attempts += 1
+            path = sample_conditional(args.n, args.t, VelocitySign.PLUS, rng)
+            x = position_at(path, args.t, params)
+            if 2.0 * args.beta - ct < x <= args.beta and in_P_plus(
+                path, ReflectionContext(args.beta, x, params, args.t)
+            ):
+                rows.append(path.switch_times)
+                xs.append(x)
+        # the kernels are reached through their module, where wrappers may be installed
+        rows = np.array(rows).reshape(len(xs), args.n)
+        t1, t2, h, l, ok = reflection.crossings_batch(rows, args.t, args.c, args.beta)
+        images = reflection.reflect_batch(rows, t1, t2)
+        u1, u2, _, _, ok_back = reflection.zero_return_crossings_batch(
+            images, args.t, args.c, args.beta)
+        backs = reflection.reflect_inverse_batch(images, u1, u2)
+        # entries of rows that are not ok are unspecified; those rows are redrawn
+        ok &= ok_back
+        lines += _reflect_records(args, rows[ok], np.array(xs)[ok].tolist(), images[ok],
+                                  backs[ok], h[ok].tolist(), l[ok].tolist())
     _emit(lines, args.output)
-    if emitted < args.count:
-        print(
-            f"note: emitted {emitted} of {args.count} requested paths "
-            f"after {attempts} attempts",
-            file=sys.stderr,
-        )
+    if len(lines) < args.count:
+        print(f"note: emitted {len(lines)} of {args.count} requested paths "
+              f"after {attempts} attempts", file=sys.stderr)
     return 0
 
 
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = commands.add_parser("verify", help="run numeric check suites")
-    p.add_argument("--suite", default="all", choices=_SUITES + ("all",))
+    p.add_argument("--suite", default="all", choices=[*_SUITES, "all"])
     p.add_argument("--seed", type=int)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.add_argument("--output", help="write to this file instead of stdout")

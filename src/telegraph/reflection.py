@@ -9,15 +9,22 @@ of them, so it preserves the switch count and the joint law of the switch
 times.  This module implements the forward transform, its inverse, the
 classification of crossing displacements, and the equivalent affine map on
 position vectors.
+
+There is one engine: the batch kernels ``crossings_batch``,
+``zero_return_crossings_batch`` and ``reflect_batch`` find the cut points
+and rearrange the switch times of many equal-count paths at once, and they
+state the transform's domain rule.  ``classify_crossings``,
+``negative_reflect`` and ``negative_reflect_inverse`` are their one-row
+case: each checks the path's membership, runs it as a batch of one row and
+raises where the kernels mark that row not ok.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from .params import MotionParams, VelocitySign
-from .path import TelegraphPath, _vertices, position_at, running_max
+from .path import TelegraphPath, position_at, running_max
 from .sampler import vertices_batch
 
 __all__ = [
@@ -142,73 +149,25 @@ def in_P_minus(path: TelegraphPath, ctx: ReflectionContext) -> bool:
     return abs(end - (2.0 * ctx.beta - ctx.x)) <= ENDPOINT_TOL
 
 
-def _crossing_times(
-    path: TelegraphPath, ctx: ReflectionContext
-) -> Tuple[float, float, int, int]:
-    """First up-crossing and first later down-crossing of beta.
-
-    Returns ``(t1, t2, h, l)`` where the crossings happen at times t1 < t2
-    inside displacements h and l.  Raises if either crossing sits within
-    ``DEGENERATE_REL_TOL * horizon`` of a vertex.
-    """
-    beta = ctx.beta
-    tol = DEGENERATE_REL_TOL * ctx.horizon
-    times, pos = _vertices(path, ctx.params.c)
-    t1 = t2 = None
-    h = l = 0
-    for i in range(1, len(times)):
-        a, b = pos[i - 1], pos[i]
-        if t1 is None:
-            if a < beta < b:
-                t1 = times[i - 1] + (beta - a) / (b - a) * (times[i] - times[i - 1])
-                h = i
-                if min(t1 - times[i - 1], times[i] - t1) < tol:
-                    raise DegeneratePathError(
-                        f"up-crossing at {t1} coincides with a switch time"
-                    )
-        elif a > beta > b:
-            t2 = times[i - 1] + (beta - a) / (b - a) * (times[i] - times[i - 1])
-            l = i
-            if min(t2 - times[i - 1], times[i] - t2) < tol:
-                raise DegeneratePathError(
-                    f"down-crossing at {t2} coincides with a switch time"
-                )
-            return t1, t2, h, l
-        if abs(a - beta) <= tol and i > 1:
-            raise DegeneratePathError(
-                f"path touches the level at switch time {times[i - 1]}"
-            )
-    raise DegeneratePathError("level crossings not found strictly inside segments")
-
-
-def classify_crossings(path: TelegraphPath, ctx: ReflectionContext) -> CrossingPair:
-    """Displacement indices (h, l) of the path's first two beta crossings."""
+def _cut_points(path: TelegraphPath, ctx: ReflectionContext):
+    """``crossings_batch`` of one path in P+, as arrays of one row."""
     if not in_P_plus(path, ctx):
         raise ReflectionDomainError(
             "path is not an upward-start path exceeding beta and ending at x"
         )
-    _, _, h, l = _crossing_times(path, ctx)
-    return CrossingPair(h, l)
+    t1, t2, h, l, ok = crossings_batch([path.switch_times], ctx.horizon, ctx.params.c, ctx.beta)
+    if not ok[0]:
+        raise DegeneratePathError(
+            "a crossing or a vertex before the down-crossing lies within "
+            "DEGENERATE_REL_TOL * horizon of a switch time or of the level"
+        )
+    return t1, t2, h, l
 
 
-def _remap_times(switch_times, lo: float, hi: float) -> Tuple[float, ...]:
-    """Cut-and-swap time map used by both transform directions.
-
-    Times before ``lo`` shift forward by ``hi - lo``; times inside
-    ``(lo, hi)`` shift back to start at zero; later times are fixed.  The
-    three groups land in disjoint intervals, so sorting restores switch
-    order on the rearranged path.
-    """
-    shift = hi - lo
-    out = []
-    for tau in switch_times:
-        if tau < lo:
-            out.append(tau + shift)
-        elif tau < hi:
-            out.append(tau - lo)
-        else:
-            out.append(tau)
-    return tuple(sorted(out))
+def classify_crossings(path: TelegraphPath, ctx: ReflectionContext) -> CrossingPair:
+    """Displacement indices (h, l) of the path's first two beta crossings."""
+    _, _, h, l = _cut_points(path, ctx)
+    return CrossingPair(int(h[0]), int(l[0]))
 
 
 def negative_reflect(path: TelegraphPath, ctx: ReflectionContext) -> TelegraphPath:
@@ -220,48 +179,12 @@ def negative_reflect(path: TelegraphPath, ctx: ReflectionContext) -> TelegraphPa
     place.  The result starts with velocity -c, keeps the switch count,
     and ends at ``2*beta - x``.
     """
-    if not in_P_plus(path, ctx):
-        raise ReflectionDomainError(
-            "path is not an upward-start path exceeding beta and ending at x"
-        )
-    t1, t2, _, _ = _crossing_times(path, ctx)
-    out = TelegraphPath(
-        VelocitySign.MINUS, path.horizon, _remap_times(path.switch_times, t1, t2)
-    )
+    t1, t2, _, _ = _cut_points(path, ctx)
+    image = reflect_batch([path.switch_times], t1, t2)[0]
+    out = TelegraphPath(VelocitySign.MINUS, path.horizon, image.tolist())
     if not in_P_minus(out, ctx):  # pragma: no cover - internal consistency
         raise ReflectionDomainError("surgery produced a path outside the codomain")
     return out
-
-
-def _inverse_cut_points(
-    path: TelegraphPath, ctx: ReflectionContext
-) -> Tuple[float, float]:
-    """First zero-return and first beta-crossing times of a downward path."""
-    tol = DEGENERATE_REL_TOL * ctx.horizon
-    times, pos = _vertices(path, ctx.params.c)
-    u1 = u2 = None
-    for i in range(1, len(times)):
-        a, b = pos[i - 1], pos[i]
-        if u1 is None:
-            if i > 1 and a < 0.0 <= b:
-                u1 = times[i - 1] + (0.0 - a) / (b - a) * (times[i] - times[i - 1])
-                if min(u1 - times[i - 1], times[i] - u1) < tol:
-                    raise DegeneratePathError(
-                        f"zero return at {u1} coincides with a switch time"
-                    )
-            else:
-                continue
-        # the beta crossing may lie in the zero-return displacement itself
-        if a < ctx.beta < b:
-            u2 = times[i - 1] + (ctx.beta - a) / (b - a) * (times[i] - times[i - 1])
-            if min(u2 - times[i - 1], times[i] - u2) < tol:
-                raise DegeneratePathError(
-                    f"beta crossing at {u2} coincides with a switch time"
-                )
-            return u1, u2
-    raise ReflectionDomainError(
-        "path has no zero return followed by a beta crossing; no preimage exists"
-    )
 
 
 def negative_reflect_inverse(
@@ -277,10 +200,18 @@ def negative_reflect_inverse(
         raise ReflectionDomainError(
             "path is not a downward-start path ending at 2*beta - x"
         )
-    u1, u2 = _inverse_cut_points(path, ctx)
-    out = TelegraphPath(
-        VelocitySign.PLUS, path.horizon, _remap_times(path.switch_times, u1, u2)
-    )
+    row = [path.switch_times]
+    u1, u2, _, j2, ok = zero_return_crossings_batch(row, ctx.horizon, ctx.params.c, ctx.beta)
+    if not ok[0] and j2[0] == 1:
+        raise ReflectionDomainError(
+            "path has no zero return followed by a beta crossing; no preimage exists"
+        )
+    if not ok[0]:
+        raise DegeneratePathError(
+            "a cut point lies within DEGENERATE_REL_TOL * horizon of a switch time"
+        )
+    out = TelegraphPath(VelocitySign.PLUS, path.horizon,
+                        reflect_inverse_batch(row, u1, u2)[0].tolist())
     if not in_P_plus(out, ctx):  # pragma: no cover - internal consistency
         raise ReflectionDomainError("inverse surgery left the stated preimage set")
     return out
@@ -313,47 +244,58 @@ def affine_map_vector_form(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch forms, used for large simulation-based checks
+# The batch kernels: the one implementation of the transform
 
 
 def crossings_batch(switches: np.ndarray, horizon: float, c: float, beta: float):
-    """Crossing data for a batch of upward-start paths with equal switch count.
+    """Forward cut points of a batch of upward-start paths with equal switch count.
 
     ``switches`` has one sorted row of switch times per path.  Returns
-    ``(t1, t2, h, l, ok)`` where ``ok`` flags rows that exceed beta and
-    cross back down before the horizon; entries of non-ok rows are
-    unspecified.  Crossings within ``DEGENERATE_REL_TOL * horizon`` of a
-    vertex are marked not ok.
+    ``(t1, t2, h, l, ok)``: the first strict up-crossing of beta at time t1
+    in displacement h, the first later strict down-crossing at t2 in
+    displacement l, and the mask of rows in the transform's domain.  Entries
+    of rows that are not ok are unspecified.
+
+    The domain rule: a row is ok when both crossings exist, the path ends
+    at or below beta, neither crossing lies within
+    ``DEGENERATE_REL_TOL * horizon`` of a switch time, and no switch vertex
+    before the one that starts the down-crossing segment lies within that
+    distance of the level.  Vertices after it, the start and the endpoint
+    are not tested.
     """
     times, pos = vertices_batch(VelocitySign.PLUS, switches, horizon, c)
     tol = DEGENERATE_REL_TOL * horizon
+    k = np.arange(1, pos.shape[0])[:, None]  # displacement k ends at vertex k
     # a strict crossing fixes the sign of the segment's slope
     up = (pos[:-1] < beta) & (pos[1:] > beta)
     has_up = up.any(axis=0)
     h = np.argmax(up, axis=0) + 1  # displacement index, 1-based
     down = (pos[:-1] > beta) & (pos[1:] < beta)
-    down &= np.arange(1, pos.shape[0])[:, None] > h
+    down &= k > h
     has_down = down.any(axis=0)
     l = np.argmax(down, axis=0) + 1
 
     rows = np.arange(pos.shape[1])
     t1 = times[h - 1, rows] + (beta - pos[h - 1, rows]) / c
     t2 = times[l - 1, rows] + (pos[l - 1, rows] - beta) / c
-    ok = has_up & has_down & (pos[-1] < beta)
+    ok = has_up & has_down & (pos[-1] <= beta)
     ok &= np.minimum(t1 - times[h - 1, rows], times[h, rows] - t1) > tol
     ok &= np.minimum(t2 - times[l - 1, rows], times[l, rows] - t2) > tol
     # pos is not needed any more: take the distances to the level in place
-    ok &= np.abs(np.subtract(pos, beta, out=pos), out=pos).min(axis=0) > tol
+    dist = pos[1:]
+    touch = np.abs(np.subtract(dist, beta, out=dist), out=dist) <= tol
+    ok &= ~(touch & (k < l - 1)).any(axis=0)
     return t1, t2, h, l, ok
 
 
 def reflect_batch(switches: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """Row-wise cut-and-swap of switch times between the two crossings.
 
-    Vectorized counterpart of the forward surgery: rows are switch times of
-    upward-start paths, ``t1``/``t2`` their beta-crossing times.  The same
-    map also performs the inverse surgery when given a downward-start
-    path's zero-return and beta-crossing times.
+    Times before ``t1`` shift forward by ``t2 - t1``, times inside
+    ``(t1, t2)`` shift back to start at zero, and later times are fixed.
+    The three groups land in disjoint intervals, so sorting restores switch
+    order.  Given a downward-start path's zero-return and beta-crossing
+    times, the same map performs the inverse surgery.
     """
     sw = np.asarray(switches, dtype=float)
     t1 = np.asarray(t1, dtype=float)[:, None]
@@ -366,16 +308,22 @@ def reflect_batch(switches: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.nd
 def zero_return_crossings_batch(
     switches: np.ndarray, horizon: float, c: float, beta: float
 ):
-    """First zero-return and beta-crossing data for downward-start paths.
+    """Inverse cut points of a batch of downward-start paths.
 
-    Batch counterpart of the inverse transform's cut points.  Returns
-    ``(u1, u2, j1, j2, ok)`` with the cut times, their displacement
-    indices, and a validity mask.
+    Returns ``(u1, u2, j1, j2, ok)``: the first return to zero at time u1
+    in displacement j1, the first strict up-crossing of beta at or after
+    it, at time u2 in displacement j2, and the mask of rows in the
+    inverse's domain.  ``j2 == 1`` marks a row with no zero return followed
+    by a beta crossing, which has no preimage.
+
+    The domain rule: a row is ok when both cut points exist and neither
+    lies within ``DEGENERATE_REL_TOL * horizon`` of a switch time; a zero
+    return that lands on a vertex is such a degenerate cut.
     """
     times, pos = vertices_batch(VelocitySign.MINUS, switches, horizon, c)
     tol = DEGENERATE_REL_TOL * horizon
-    # both cut points lie on strict upward crossings
-    back = (pos[:-1] < 0.0) & (pos[1:] > 0.0)
+    # both cut points lie on upward segments
+    back = (pos[:-1] < 0.0) & (pos[1:] >= 0.0)
     has_back = back.any(axis=0)
     j1 = np.argmax(back, axis=0) + 1
     up = (pos[:-1] < beta) & (pos[1:] > beta)

@@ -328,6 +328,10 @@ class TestKac:
     ("simulate --functional position --range=-1:1 --reps 100 --t 0", 2),
     ("simulate --functional position --range=-1:1 --reps 100 --t -1", 2),
     ("simulate --functional position --range=-1:1 --reps 100 --t nan", 2),
+    # sampled reflect checks its level and switch count before drawing
+    ("reflect --beta 2 --count 20", 2),
+    ("reflect --beta nan", 2),
+    ("reflect --beta 0.3 --n 0", 2),
 ])
 def test_exit_code_without_traceback(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv.split())

@@ -16,6 +16,7 @@ from telegraph import (
     negative_reflect_inverse,
 )
 from telegraph import reflection, sampler
+from telegraph.path import first_passage, first_return
 
 PARAMS = MotionParams(c=1.0, lam=1.0)
 PLUS = VelocitySign.PLUS
@@ -133,6 +134,49 @@ class TestDomainErrors:
             negative_reflect(path, ctx)
 
 
+class TestOneDomainRule:
+    """Boundary paths of the transform's domain rule, checked on the batch
+    kernels and on the scalar functions that run them on one row."""
+
+    def test_endpoint_on_the_level_is_ok(self):
+        # the worked example ends exactly at beta = x = 1
+        t1, t2, h, l, ok = reflection.crossings_batch(np.array([[1.5, 3.0]]), 4.0, 1.0, 1.0)
+        assert ok[0]
+        assert (t1[0], t2[0], h[0], l[0]) == (1.0, 2.0, 1, 2)
+
+    def test_vertex_touching_the_level_after_the_down_crossing_is_ok(self):
+        # positions 0, 0.6, 0.2, 0.3, -0.2, 0.2: the vertex at s = 1.1 sits on
+        # beta = 0.3 after the down-crossing at s = 0.9
+        switches = np.array([[0.6, 1.0, 1.1, 1.6]])
+        t1, t2, _, _, ok = reflection.crossings_batch(switches, 2.0, 1.0, 0.3)
+        assert ok[0]
+        image = reflection.reflect_batch(switches, t1, t2)[0]
+        assert image == pytest.approx([0.3, 1.0, 1.1, 1.6], abs=1e-12)
+        ctx = make_ctx(beta=0.3, x=0.2, horizon=2.0)
+        path = TelegraphPath(PLUS, 2.0, tuple(switches[0]))
+        assert negative_reflect(path, ctx).switch_times == pytest.approx(image, abs=1e-12)
+
+    def test_zero_return_on_a_switch_is_degenerate(self):
+        # positions 0, -0.25, 0, -0.1, 0.3: the first return to zero is the
+        # vertex at s = 0.5
+        switches = (0.25, 0.5, 0.6)
+        *_, ok = reflection.zero_return_crossings_batch(np.array([switches]), 1.0, 1.0, 0.2)
+        assert not ok[0]
+        ctx = make_ctx(beta=0.2, x=0.1, horizon=1.0)
+        with pytest.raises(DegeneratePathError):
+            negative_reflect_inverse(TelegraphPath(MINUS, 1.0, switches), ctx)
+
+    def test_endpoint_on_the_level_has_no_preimage(self):
+        # positions 0, -0.25, 0.5: the path returns to zero but only reaches
+        # beta = 0.5 at the horizon, so it never crosses it
+        ctx = make_ctx(beta=0.5, x=0.5, horizon=1.0)
+        path = TelegraphPath(MINUS, 1.0, (0.25,))
+        *_, j2, ok = reflection.zero_return_crossings_batch(np.array([[0.25]]), 1.0, 1.0, 0.5)
+        assert not ok[0] and j2[0] == 1
+        with pytest.raises(ReflectionDomainError, match="no preimage"):
+            negative_reflect_inverse(path, ctx)
+
+
 class TestBatchAgainstScalar:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_batch_matches_scalar_pipeline(self, n):
@@ -142,10 +186,18 @@ class TestBatchAgainstScalar:
         t1, t2, h, l, ok = reflection.crossings_batch(switches, t, c, beta)
         assert ok.any()
         images = reflection.reflect_batch(switches[ok], t1[ok], t2[ok])
-        for row_in, row_out, hh, ll in zip(switches[ok], images, h[ok], l[ok]):
+        params = MotionParams(c, 1.0)
+        for row_in, row_out, a, b, hh, ll in zip(
+            switches[ok], images, t1[ok], t2[ok], h[ok], l[ok]
+        ):
             path = TelegraphPath(PLUS, t, tuple(row_in))
+            image = TelegraphPath(MINUS, t, tuple(row_out))
+            # the scalar path functionals are an independent reference: the
+            # image first reaches beta where the input crosses back down
+            assert a == pytest.approx(first_passage(path, beta, params), abs=1e-12)
+            assert b == pytest.approx(first_passage(image, beta, params), abs=1e-12)
             x = sampler.position_batch(PLUS, row_in[None, :], t, c)[0]
-            ctx = ReflectionContext(beta=beta, x=float(x), params=MotionParams(c, 1.0), horizon=t)
+            ctx = ReflectionContext(beta=beta, x=float(x), params=params, horizon=t)
             pair = classify_crossings(path, ctx)
             assert (pair.h, pair.l) == (hh, ll)
             scalar_image = negative_reflect(path, ctx)
@@ -160,11 +212,11 @@ class TestBatchAgainstScalar:
         images = reflection.reflect_batch(switches[ok], t1[ok], t2[ok])
         u1, u2, _, _, ok_inv = reflection.zero_return_crossings_batch(images, t, c, beta)
         assert ok_inv.all()
+        params = MotionParams(c, 1.0)
         for row, a, b in zip(images, u1, u2):
             path = TelegraphPath(MINUS, t, tuple(row))
-            x = 2.0 * beta - sampler.position_batch(MINUS, row[None, :], t, c)[0]
-            ctx = ReflectionContext(beta=beta, x=float(x), params=MotionParams(c, 1.0), horizon=t)
-            assert (a, b) == pytest.approx(reflection._inverse_cut_points(path, ctx), abs=1e-12)
+            reference = (first_return(path, params), first_passage(path, beta, params))
+            assert (a, b) == pytest.approx(reference, abs=1e-12)
 
     def test_batch_round_trip_and_injectivity(self):
         rng = np.random.default_rng(11)
