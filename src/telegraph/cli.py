@@ -215,14 +215,19 @@ def cmd_verify(args) -> int:
 # reflect
 
 
-def _reflect_records(args, switches, xs, images, backs, h, l) -> List[str]:
-    """One JSON record per reflected upward-start path: the path and its
-    image, the level and endpoint, both crossing pairs, and the largest
-    switch-time error of the round trip."""
+#: Largest round-trip switch-time error of a ``reflect`` record; a larger one
+#: exits 1, because the inverse surgery did not undo the forward one.
+RESIDUAL_TOL = 1e-12
+
+
+def _reflect_records(args, switches, xs, images, backs, h, l) -> List[dict]:
+    """One record per reflected upward-start path: the path and its image,
+    the level and endpoint, both crossing pairs, and the largest switch-time
+    error of the round trip."""
     switches, images = np.asarray(switches, dtype=float), np.asarray(images, dtype=float)
     residuals = np.abs(backs - switches).max(axis=1, initial=0.0).tolist()
     fields = zip(switches.tolist(), images.tolist(), xs, map(CrossingPair, h, l), residuals)
-    return [json.dumps({
+    return [{
         "input": {"v0": VelocitySign.PLUS.value, "t": args.t, "switches": row},
         "output": {"v0": VelocitySign.MINUS.value, "t": args.t, "switches": image},
         "beta": args.beta,
@@ -230,7 +235,18 @@ def _reflect_records(args, switches, xs, images, backs, h, l) -> List[str]:
         "pair": [pair.h, pair.l],
         "image_pair": [pair.image().h, pair.image().l],
         "residual": residual,
-    }) for row, image, x, pair, residual in fields]
+    } for row, image, x, pair, residual in fields]
+
+
+def _emit_records(records: List[dict], output: Optional[str]) -> int:
+    """Write one JSON line per record; 1 if a round trip missed ``RESIDUAL_TOL``."""
+    _emit([json.dumps(record) for record in records], output)
+    bad = sum(record["residual"] > RESIDUAL_TOL for record in records)
+    if bad:
+        print(f"error: {bad} of {len(records)} records have a round-trip residual "
+              f"above {RESIDUAL_TOL:g}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_reflect(args) -> int:
@@ -242,23 +258,23 @@ def cmd_reflect(args) -> int:
         pair = classify_crossings(path, ctx)
         image = negative_reflect(path, ctx)
         back = negative_reflect_inverse(image, ctx)
-        _emit(_reflect_records(args, [times], [ctx.x], [image.switch_times],
-                               [back.switch_times], [pair.h], [pair.l]), args.output)
-        return 0
+        return _emit_records(_reflect_records(args, [times], [ctx.x], [image.switch_times],
+                                              [back.switch_times], [pair.h], [pair.l]),
+                             args.output)
 
     ct = args.c * args.t
-    if not 0.0 <= args.beta < ct:
-        raise ValueError(f"reflect needs a level 0 <= beta < c*t = {ct}, got {args.beta}")
+    if not 0.0 < args.beta < ct:
+        raise ValueError(f"reflect needs a level 0 < beta < c*t = {ct}, got {args.beta}")
     if args.n < 1:
         raise ValueError("reflect needs --n >= 1: a path without a switch ends above beta")
     rng = RngStream(_default_seed(args.seed), 77).generator()
-    lines = []
+    records = []
     attempts = 0
     max_attempts = 10000 * args.count
-    while len(lines) < args.count and attempts < max_attempts:
+    while len(records) < args.count and attempts < max_attempts:
         # admit as many paths as records are missing, then transform them in one batch
         rows, xs = [], []
-        while len(lines) + len(xs) < args.count and attempts < max_attempts:
+        while len(records) + len(xs) < args.count and attempts < max_attempts:
             attempts += 1
             path = sample_conditional(args.n, args.t, VelocitySign.PLUS, rng)
             x = position_at(path, args.t, params)
@@ -276,13 +292,13 @@ def cmd_reflect(args) -> int:
         backs = reflection.reflect_inverse_batch(images, u1, u2)
         # entries of rows that are not ok are unspecified; those rows are redrawn
         ok &= ok_back
-        lines += _reflect_records(args, rows[ok], np.array(xs)[ok].tolist(), images[ok],
-                                  backs[ok], h[ok].tolist(), l[ok].tolist())
-    _emit(lines, args.output)
-    if len(lines) < args.count:
-        print(f"note: emitted {len(lines)} of {args.count} requested paths "
+        records += _reflect_records(args, rows[ok], np.array(xs)[ok].tolist(), images[ok],
+                                    backs[ok], h[ok].tolist(), l[ok].tolist())
+    status = _emit_records(records, args.output)
+    if len(records) < args.count:
+        print(f"note: emitted {len(records)} of {args.count} requested paths "
               f"after {attempts} attempts", file=sys.stderr)
-    return 0
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = commands.add_parser("reflect", help="negatively reflect sampled or given paths")
-    p.add_argument("--beta", type=float, required=True, help="reflection level")
+    p.add_argument("--beta", type=float, required=True,
+                   help="reflection level, 0 < beta < c*t")
     p.add_argument("--n", type=int, default=2, help="switch count for sampled paths")
     p.add_argument("--count", type=_positive_int, default=5,
                    help="number of sampled paths to emit")

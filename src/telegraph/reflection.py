@@ -13,10 +13,11 @@ position vectors.
 There is one engine: the batch kernels ``crossings_batch``,
 ``zero_return_crossings_batch`` and ``reflect_batch`` find the cut points
 and rearrange the switch times of many equal-count paths at once, and they
-state the transform's domain rule.  ``classify_crossings``,
-``negative_reflect`` and ``negative_reflect_inverse`` are their one-row
-case: each checks the path's membership, runs it as a batch of one row and
-raises where the kernels mark that row not ok.
+state the transform's domain rule; the two crossing kernels are vertex
+reductions that ``sampler.reduce_vertices`` runs block by block.
+``classify_crossings``, ``negative_reflect`` and ``negative_reflect_inverse``
+are their one-row case: each checks the path's membership, runs it as a
+batch of one row and raises where the kernels mark that row not ok.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 
 from .params import MotionParams, VelocitySign
 from .path import TelegraphPath, position_at, running_max
-from .sampler import vertices_batch
+from .sampler import reduce_vertices
 
 __all__ = [
     "ReflectionContext",
@@ -68,8 +69,12 @@ class DegeneratePathError(ReflectionDomainError):
 class ReflectionContext:
     """Level, target endpoint, and motion parameters of the transform.
 
-    The admissible window is ``0 <= beta < c*t`` and
-    ``2*beta - c*t < x <= beta``; outside it both path sets are null.
+    The admissible window is ``0 < beta < c*t`` and
+    ``2*beta - c*t < x <= beta``; outside it both path sets are null.  The
+    level is strictly positive: at beta = 0 the up-crossing sits on the
+    start vertex, a degenerate cut, and the image's first return to zero
+    and first crossing of the level coincide, so the inverse surgery cannot
+    undo the forward one.
     """
 
     beta: float
@@ -81,8 +86,8 @@ class ReflectionContext:
         ct = self.params.c * self.horizon
         if self.horizon <= 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if not 0.0 <= self.beta < ct:
-            raise ValueError(f"beta={self.beta} outside [0, ct) with ct={ct}")
+        if not 0.0 < self.beta < ct:
+            raise ValueError(f"beta={self.beta} outside (0, ct) with ct={ct}")
         if not 2.0 * self.beta - ct < self.x <= self.beta:
             raise ValueError(
                 f"x={self.x} outside (2*beta - ct, beta] with "
@@ -263,29 +268,32 @@ def crossings_batch(switches: np.ndarray, horizon: float, c: float, beta: float)
     distance of the level.  Vertices after it, the start and the endpoint
     are not tested.
     """
-    times, pos = vertices_batch(VelocitySign.PLUS, switches, horizon, c)
     tol = DEGENERATE_REL_TOL * horizon
-    k = np.arange(1, pos.shape[0])[:, None]  # displacement k ends at vertex k
-    # a strict crossing fixes the sign of the segment's slope
-    up = (pos[:-1] < beta) & (pos[1:] > beta)
-    has_up = up.any(axis=0)
-    h = np.argmax(up, axis=0) + 1  # displacement index, 1-based
-    down = (pos[:-1] > beta) & (pos[1:] < beta)
-    down &= k > h
-    has_down = down.any(axis=0)
-    l = np.argmax(down, axis=0) + 1
 
-    rows = np.arange(pos.shape[1])
-    t1 = times[h - 1, rows] + (beta - pos[h - 1, rows]) / c
-    t2 = times[l - 1, rows] + (pos[l - 1, rows] - beta) / c
-    ok = has_up & has_down & (pos[-1] <= beta)
-    ok &= np.minimum(t1 - times[h - 1, rows], times[h, rows] - t1) > tol
-    ok &= np.minimum(t2 - times[l - 1, rows], times[l, rows] - t2) > tol
-    # pos is not needed any more: take the distances to the level in place
-    dist = pos[1:]
-    touch = np.abs(np.subtract(dist, beta, out=dist), out=dist) <= tol
-    ok &= ~(touch & (k < l - 1)).any(axis=0)
-    return t1, t2, h, l, ok
+    def reduce(times, pos):
+        k = np.arange(1, pos.shape[0])[:, None]  # displacement k ends at vertex k
+        # a strict crossing fixes the sign of the segment's slope
+        up = (pos[:-1] < beta) & (pos[1:] > beta)
+        has_up = up.any(axis=0)
+        h = np.argmax(up, axis=0) + 1  # displacement index, 1-based
+        down = (pos[:-1] > beta) & (pos[1:] < beta)
+        down &= k > h
+        has_down = down.any(axis=0)
+        l = np.argmax(down, axis=0) + 1
+
+        rows = np.arange(pos.shape[1])
+        t1 = times[h - 1, rows] + (beta - pos[h - 1, rows]) / c
+        t2 = times[l - 1, rows] + (pos[l - 1, rows] - beta) / c
+        ok = has_up & has_down & (pos[-1] <= beta)
+        ok &= np.minimum(t1 - times[h - 1, rows], times[h, rows] - t1) > tol
+        ok &= np.minimum(t2 - times[l - 1, rows], times[l, rows] - t2) > tol
+        # pos is not needed any more: take the distances to the level in place
+        dist = pos[1:]
+        touch = np.abs(np.subtract(dist, beta, out=dist), out=dist) <= tol
+        ok &= ~(touch & (k < l - 1)).any(axis=0)
+        return t1, t2, h, l, ok
+
+    return reduce_vertices(reduce, VelocitySign.PLUS, switches, horizon, c)
 
 
 def reflect_batch(switches: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -320,24 +328,27 @@ def zero_return_crossings_batch(
     lies within ``DEGENERATE_REL_TOL * horizon`` of a switch time; a zero
     return that lands on a vertex is such a degenerate cut.
     """
-    times, pos = vertices_batch(VelocitySign.MINUS, switches, horizon, c)
     tol = DEGENERATE_REL_TOL * horizon
-    # both cut points lie on upward segments
-    back = (pos[:-1] < 0.0) & (pos[1:] >= 0.0)
-    has_back = back.any(axis=0)
-    j1 = np.argmax(back, axis=0) + 1
-    up = (pos[:-1] < beta) & (pos[1:] > beta)
-    up &= np.arange(1, pos.shape[0])[:, None] >= j1
-    has_up = up.any(axis=0)
-    j2 = np.argmax(up, axis=0) + 1
 
-    rows = np.arange(pos.shape[1])
-    u1 = times[j1 - 1, rows] + (0.0 - pos[j1 - 1, rows]) / c
-    u2 = times[j2 - 1, rows] + (beta - pos[j2 - 1, rows]) / c
-    ok = has_back & has_up
-    ok &= np.minimum(u1 - times[j1 - 1, rows], times[j1, rows] - u1) > tol
-    ok &= np.minimum(u2 - times[j2 - 1, rows], times[j2, rows] - u2) > tol
-    return u1, u2, j1, j2, ok
+    def reduce(times, pos):
+        # both cut points lie on upward segments
+        back = (pos[:-1] < 0.0) & (pos[1:] >= 0.0)
+        has_back = back.any(axis=0)
+        j1 = np.argmax(back, axis=0) + 1
+        up = (pos[:-1] < beta) & (pos[1:] > beta)
+        up &= np.arange(1, pos.shape[0])[:, None] >= j1
+        has_up = up.any(axis=0)
+        j2 = np.argmax(up, axis=0) + 1
+
+        rows = np.arange(pos.shape[1])
+        u1 = times[j1 - 1, rows] + (0.0 - pos[j1 - 1, rows]) / c
+        u2 = times[j2 - 1, rows] + (beta - pos[j2 - 1, rows]) / c
+        ok = has_back & has_up
+        ok &= np.minimum(u1 - times[j1 - 1, rows], times[j1, rows] - u1) > tol
+        ok &= np.minimum(u2 - times[j2 - 1, rows], times[j2, rows] - u2) > tol
+        return u1, u2, j1, j2, ok
+
+    return reduce_vertices(reduce, VelocitySign.MINUS, switches, horizon, c)
 
 
 reflect_inverse_batch = reflect_batch

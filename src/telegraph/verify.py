@@ -9,7 +9,6 @@ law against the Brownian one; and an exhaustive random-walk enumeration that
 replays the reflection argument with exact integer counts.
 """
 
-import functools
 import itertools
 import json
 import math
@@ -21,7 +20,7 @@ import numpy as np
 from . import laws
 from .params import MotionParams, VelocitySign
 from .path import TelegraphPath, running_max, running_min
-from .sampler import sample_switches_batch, RngStream
+from .sampler import RngStream, _gauss, sample_switches_batch
 
 __all__ = [
     "CheckResult",
@@ -227,25 +226,6 @@ def run_identity_suite(
 
 # ---------------------------------------------------------------------------
 # Normalization audits
-
-
-@functools.lru_cache(maxsize=256)
-def _legendre(nodes: int) -> tuple:
-    from numpy.polynomial.legendre import leggauss  # kept off the package import
-    return leggauss(nodes)
-
-
-def _gauss(f: Callable[[np.ndarray], np.ndarray], pieces: Sequence, nodes: int):
-    """Gauss-Legendre integral over consecutive pieces, exact to degree 2*nodes - 1.
-
-    The piece ends may be arrays of one shape, for a family of intervals: f is
-    called once, on the nodes of every piece along a new last axis, and the
-    integral has the shape of the ends.
-    """
-    x, w = _legendre(nodes)
-    ends = np.asarray(pieces, dtype=float)[..., None]
-    half, mid = 0.5 * (ends[1:] - ends[:-1]), 0.5 * (ends[1:] + ends[:-1])
-    return ((half * f(mid + half * x)) @ w).sum(axis=0)
 
 
 def normalization_suite(

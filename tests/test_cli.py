@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from telegraph import cli
-from telegraph import laws
+from telegraph import laws, reflection
 from telegraph.laws import Conditioning
 from telegraph.params import MotionParams, VelocitySign
 
@@ -292,6 +292,18 @@ class TestReflect:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--beta", "0.3", "--n", "3", "--count", "4", "--seed", "5"),
+        ("--beta", "1", "--t", "4", "--switch-times", "1.5,3"),
+    ])
+    def test_round_trip_residual_above_tolerance_fails(self, capsys, monkeypatch, argv):
+        inverse = reflection.reflect_inverse_batch
+        monkeypatch.setattr(reflection, "reflect_inverse_batch",
+                            lambda images, u1, u2: inverse(images, u1, u2) + 1e-9)
+        code, out, err = run_cli(capsys, "reflect", *argv)
+        assert code == 1
+        assert out and "residual above 1e-12" in err
+
     def test_level_outside_cone_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "reflect", "--beta", "2.0", "--t", "1", "--switch-times", "0.5"
@@ -332,6 +344,9 @@ class TestKac:
     ("reflect --beta 2 --count 20", 2),
     ("reflect --beta nan", 2),
     ("reflect --beta 0.3 --n 0", 2),
+    # at beta = 0 the up-crossing is the start vertex, a degenerate cut
+    ("reflect --beta 0 --n 4 --count 20 --seed 2", 2),
+    ("reflect --beta 0 --t 4 --switch-times 1.5,3", 2),
 ])
 def test_exit_code_without_traceback(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv.split())

@@ -35,6 +35,7 @@ class TestContextValidation:
         "beta,x",
         [
             (-0.1, 0.0),  # negative level
+            (0.0, -0.5),  # level at the start: the up-crossing is a degenerate cut
             (4.0, 0.0),  # level at the light cone edge
             (1.0, 1.5),  # endpoint above the level
             (1.0, -2.0),  # endpoint at/below the reflected cone edge

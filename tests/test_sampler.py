@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from telegraph import (
     sample_conditional,
     sample_unconditional,
 )
-from telegraph import laws, sampler
+from telegraph import laws, reflection, sampler, verify
 from telegraph.path import _vertices
 
 PARAMS = MotionParams(c=1.0, lam=1.0)
@@ -167,6 +168,91 @@ class TestVertexMajorKernel:
                     assert got == pytest.approx(want, abs=1e-12)
 
 
+class TestVertexBlocks:
+    """Cutting a batch into blocks of paths changes no bit of any kernel's result."""
+
+    FUNCTIONALS = [
+        lambda v0, sw: sampler.position_batch(v0, sw, 1.3, 0.7),
+        lambda v0, sw: sampler.running_max_batch(v0, sw, 1.3, 0.7),
+        lambda v0, sw: sampler.first_passage_batch(v0, sw, 1.3, 0.7, 0.2),
+        lambda v0, sw: sampler.first_return_batch(v0, sw, 1.3, 0.7),
+        lambda v0, sw: sampler.max_is_zero_batch(v0, sw, 1.3, 0.7),
+        lambda v0, sw: sampler.max_equals_position_batch(v0, sw, 1.3, 0.7),
+    ]
+    CROSSINGS = [
+        lambda sw: reflection.crossings_batch(sw, 1.3, 0.7, 0.25),
+        lambda sw: reflection.zero_return_crossings_batch(sw, 1.3, 0.7, 0.25),
+    ]
+
+    def _results(self, sw):
+        functionals = [f(v0, sw) for f in self.FUNCTIONALS for v0 in (PLUS, MINUS)]
+        return functionals, [f(sw) for f in self.CROSSINGS]
+
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize(
+        "m, paths_per_block",
+        [
+            (1, 0), (1, 1), (1, 2),
+            # one path per block, step - 1, step, step + 1, and a ragged last block
+            (50, 1), (50, 49), (50, 50), (50, 51), (50, 17),
+            # one wide batch against blocks below _LOOP_MIN_PATHS
+            (700, sampler._LOOP_MIN_PATHS - 1),
+        ],
+    )
+    def test_blocks_change_no_bit(self, monkeypatch, n, m, paths_per_block):
+        sw = sampler.sample_switches_batch(n, 1.3, m, RngStream(37, m).generator())
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 1 << 40)
+        want_functionals, want_crossings = self._results(sw)
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", paths_per_block * (n + 2))
+        got_functionals, got_crossings = self._results(sw)
+        for got, want in zip(got_functionals, want_functionals):
+            assert got.dtype == want.dtype and got.shape == (m,)
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(got_crossings, want_crossings):
+            ok = want[-1]
+            assert np.array_equal(got[-1], ok)
+            for g, w in zip(got[:-1], want[:-1]):
+                assert g.dtype == w.dtype and g.shape == (m,)
+                assert g[ok].tobytes() == w[ok].tobytes()
+
+    @pytest.mark.parametrize("functional, beta", [("max", None), ("fpt", 0.3), ("return", None)])
+    def test_histogram_counts_do_not_depend_on_blocks(self, monkeypatch, functional, beta):
+        def estimates():
+            bins = sampler.mc_density_histogram(
+                functional, MINUS, 8, PARAMS, 1.0, bins=16, value_range=(0.0, 1.0),
+                reps=3001, seed=38, beta=beta,
+            )
+            return [b.report.estimate for b in bins]
+
+        want = estimates()
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 7 * 10)
+        assert estimates() == want
+
+    def test_crossings_peak_memory_is_bounded_by_outputs(self):
+        # the unblocked kernel peaked at about 7x its outputs on this batch
+        sw = sampler.sample_switches_batch(8, 1.0, 250_000, RngStream(39).generator())
+        tracemalloc.start()
+        try:
+            outputs = reflection.crossings_batch(sw, 1.0, 1.0, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sum(a.nbytes for a in outputs)
+
+    def test_histogram_chunk_peak_memory_is_bounded_by_its_switches(self):
+        n = 64
+        tracemalloc.start()
+        try:
+            sampler.mc_density_histogram(
+                "max", MINUS, n, PARAMS, 1.0, bins=20, value_range=(0.0, 1.0),
+                reps=sampler.CHUNK, seed=40,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sampler.CHUNK * n * np.dtype(float).itemsize
+
+
 class TestMcProbability:
     def test_reproducible_and_reports_z(self):
         event = lambda path, params: bool(path.switch_times) and path.switch_times[0] < 0.5
@@ -228,6 +314,20 @@ class TestMcDensityHistogram:
         )
         worst = max(abs(b.report.z_score) for b in bins)
         assert worst < 4.0
+
+    @pytest.mark.parametrize("n, bins", [(8, 1), (8, 5), (3, 4)])
+    def test_reference_is_the_bin_average(self, n, bins):
+        # the position density is one polynomial piece on (-ct, ct)
+        density = lambda x: laws.position_pdf(+1, n, x, 1.0, 1.0)
+        got = sampler.mc_density_histogram(
+            "position", PLUS, n, PARAMS, 1.0, bins=bins, value_range=(-1.0, 1.0), reps=100,
+            analytic=density,
+        )
+        for b in got:
+            mass = verify.quadrature(lambda x: float(density(x)), b.lo, b.hi, abs_tol=1e-13)
+            assert b.report.analytic == pytest.approx(mass / (b.hi - b.lo), abs=1e-12)
+        if bins == 1:
+            assert got[0].report.analytic == pytest.approx(0.5, abs=1e-15)
 
     def test_histogram_estimates_are_plain_floats(self):
         bins = sampler.mc_density_histogram(
