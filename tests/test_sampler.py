@@ -329,6 +329,31 @@ class TestMcDensityHistogram:
         if bins == 1:
             assert got[0].report.analytic == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [8, None])
+    def test_reference_is_evaluated_a_block_of_bins_at_a_time(self, monkeypatch, n):
+        sizes = []
+
+        def density(x):
+            sizes.append(x.size)
+            return laws.position_pdf(+1, 8, x, 1.0, 1.0)
+
+        def refs():
+            bins = sampler.mc_density_histogram(
+                "position", PLUS, n, PARAMS, 1.0, bins=101, value_range=(-1.0, 1.0), reps=100,
+                analytic=density,
+            )
+            return [b.report.analytic for b in bins]
+
+        points = 101 * (sampler._MAX_BIN_NODES if n is None else 8 // 2 + 2)
+        want = refs()
+        assert sizes == [points]
+        sizes.clear()
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 20 * sampler._MAX_BIN_NODES)
+        got = refs()
+        assert max(sizes) <= 20 * sampler._MAX_BIN_NODES and sum(sizes) == points
+        # a one-row block may round its last bit differently from a wider one
+        assert got == pytest.approx(want, rel=1e-14)
+
     def test_histogram_estimates_are_plain_floats(self):
         bins = sampler.mc_density_histogram(
             "max", MINUS, 2, PARAMS, 1.0, bins=4, value_range=(0.0, 1.0), reps=5000, seed=6
