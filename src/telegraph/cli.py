@@ -265,6 +265,10 @@ def cmd_reflect(args) -> int:
     ct = args.c * args.t
     if not 0.0 < args.beta < ct:
         raise ValueError(f"reflect needs a level 0 < beta < c*t = {ct}, got {args.beta}")
+    if args.beta <= reflection.DEGENERATE_REL_TOL * ct:
+        # the first up-crossing, at time beta/c, is then a degenerate cut on every path
+        raise ValueError(f"reflect needs a level beta > DEGENERATE_REL_TOL * c*t = "
+                         f"{reflection.DEGENERATE_REL_TOL * ct:g}, got {args.beta}")
     if args.n < 1:
         raise ValueError("reflect needs --n >= 1: a path without a switch ends above beta")
     rng = RngStream(_default_seed(args.seed), 77).generator()
@@ -298,6 +302,7 @@ def cmd_reflect(args) -> int:
     if len(records) < args.count:
         print(f"note: emitted {len(records)} of {args.count} requested paths "
               f"after {attempts} attempts", file=sys.stderr)
+        return 1
     return status
 
 

@@ -8,17 +8,32 @@ and the exact singular events M = 0 and M = T(t)) over many paths at once
 with numpy; the scalar samplers return :class:`TelegraphPath` objects.
 
 Every batch kernel, these and the crossing kernels of ``reflection``, is a
-reduction of vertex arrays run by one block driver, ``reduce_vertices``.
-It cuts the m switch rows into blocks of at most ``_BLOCK_VERTICES``
-vertices per array (2^16, at least one path), builds each block's
-vertex-major (n+2, rows) times and positions with ``vertices_batch``, and
-writes the block's per-path results into arrays of m entries.  So a
-kernel's temporaries do not grow with m and stay in a per-core L2 cache:
-``crossings_batch`` of 250k paths at n = 8 peaks at 1.2x the bytes of its
-outputs (7.5x as one block), and a histogram chunk at n = 64 at 1.2x its
-switch array (3.1x as one block with a sorted copy of the draw).  Blocking
-over paths changes no path's arithmetic, so results are the same to the bit
-for every block size.
+reduction of vertex arrays run by one driver, ``reduce_vertices``, which
+both draws switch rows and reduces them.  Its input is a source of switch
+rows, :class:`SwitchRows`: (count k, rows m_k) groups in increasing k and a
+``draw(k, rows)`` that returns the next rows of count k.  A Monte Carlo
+chunk's ``draw`` calls ``sample_switches_batch`` on the chunk's generator;
+an (m, n) array is the one-group source whose ``draw`` slices it.
+
+The driver cuts the groups into blocks of at most ``_BLOCK_VERTICES``
+vertices per array (2^16, at least one path), draws a block's rows only when
+it reaches that block, builds the block's vertex-major (n+2, rows) times and
+positions with ``vertices_batch``, and writes the block's per-path results
+into arrays with one entry per row, in group order.  A numpy generator that
+draws (a, k) and then (b, k) uniforms yields the bits of one (a + b, k) draw,
+so every stream is the same as a whole-chunk draw, but no chunk's switch
+array exists whole and a kernel's temporaries stay in a per-core L2 cache:
+one 16384-path histogram chunk at n = 10^4 peaks at 1.7 MiB, not 1.3 GB.
+
+A group too large for one block is cut into blocks of its own.  Consecutive
+smaller groups share one block, each row padded with switches at t up to the
+block's largest count.  A padded switch adds a segment of length t - t = 0,
+so the next position is the previous one plus (+-c) * 0.0, which is the same
+float; every later vertex repeats the path's true endpoint at time t.  So the
+position, maximum, first level crossing and first return of every row are the
+same floats as without padding, and, since a path's arithmetic does not
+depend on the block it falls in, the results are the same to the bit for
+every block size.
 
 Randomness follows a stream contract: a 64-bit seed plus a stream id
 select a reproducible, statistically independent generator (counter-style
@@ -32,7 +47,7 @@ uses the binomial error of the analytic reference.
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +62,7 @@ __all__ = [
     "sample_unconditional",
     "sample_conditional",
     "sample_switches_batch",
+    "SwitchRows",
     "vertices_batch",
     "reduce_vertices",
     "position_batch",
@@ -201,35 +217,99 @@ def vertices_batch(
     return times, pos
 
 
+class SwitchRows(NamedTuple):
+    """A source of switch rows for ``reduce_vertices``.
+
+    ``groups`` lists (count k, rows m_k) pairs in increasing k, and
+    ``draw(k, rows)`` returns the next ``rows`` sorted switch rows of count k
+    as a (rows, k) array.  The driver draws each group's rows in order, a
+    block at a time.
+    """
+
+    groups: Sequence[Tuple[int, int]]
+    draw: Callable[[int, int], np.ndarray]
+
+
+def _array_rows(switches) -> SwitchRows:
+    """The one-group source of an (m, n) array: ``draw`` slices it in order."""
+    sw = np.atleast_2d(np.asarray(switches, dtype=float))
+    m, n = sw.shape
+    taken = [0]
+
+    def draw(k: int, rows: int) -> np.ndarray:
+        start = taken[0]
+        taken[0] += rows
+        return sw[start : start + rows]
+
+    return SwitchRows(((n, m),), draw)
+
+
+def _blocks(groups: Sequence[Tuple[int, int]]):
+    """Blocks of (count, rows) parts with at most ``_BLOCK_VERTICES`` vertices
+    per array, or one path.  A group that does not fit one block is cut into
+    blocks of its own; consecutive smaller groups share a block, sized by its
+    largest count.  An empty source gives one empty block."""
+    shared, rows = [], 0
+    for k, m in groups:
+        step = max(1, _BLOCK_VERTICES // (k + 2))
+        if shared and (k + 2) * (rows + m) > _BLOCK_VERTICES:
+            yield shared
+            shared, rows = [], 0
+        if m > step:
+            for start in range(0, m, step):
+                yield [(k, min(step, m - start))]
+        else:
+            shared.append((k, m))
+            rows += m
+    if shared:
+        yield shared
+
+
+def _switch_blocks(source: SwitchRows, t: float):
+    """(parts, switches) of each block of a source, drawn when reached: the
+    rows of a shared block are padded with switches at t to its largest count."""
+    for block in _blocks(source.groups):
+        if len(block) == 1:
+            yield block, source.draw(*block[0])
+            continue
+        sw = np.full((sum(m for _, m in block), block[-1][0]), float(t))
+        row = 0
+        for k, m in block:
+            sw[row : row + m, :k] = source.draw(k, m)
+            row += m
+        yield block, sw
+
+
 def reduce_vertices(
     reduce: Callable[[np.ndarray, np.ndarray], tuple],
     v0: VelocitySign,
-    switches: np.ndarray,
+    switches,
     t: float,
     c: float,
 ) -> tuple:
-    """Per-path results of a vertex kernel over m equal-count paths.
+    """Per-path results of a vertex kernel over the rows of a source.
 
-    ``reduce(times, pos)`` takes the ``vertices_batch`` arrays of a block of
-    paths and returns a tuple of arrays with one entry per path of the
-    block.  The rows are cut into blocks of at most ``_BLOCK_VERTICES``
-    vertices per array, and the results of every block are written into
-    arrays of m entries allocated after the first block (an empty batch runs
-    one empty block, so its outputs still take the kernel's dtypes).  A
-    path's arithmetic does not depend on the block it falls in, so the
+    ``switches`` is a :class:`SwitchRows` source or an (m, n) array of
+    equal-count rows.  ``reduce(times, pos)`` takes the ``vertices_batch``
+    arrays of a block of paths and returns a tuple of arrays with one entry
+    per path of the block.  The results of every block are written, in group
+    order, into arrays with one entry per row, allocated after the first
+    block (an empty batch runs one empty block, so its outputs still take the
+    kernel's dtypes).  Neither the block a path falls in nor the padding of
+    a shared block changes its arithmetic (see the module docstring), so the
     results are the same to the bit whatever the block size.
     """
-    sw = np.atleast_2d(np.asarray(switches, dtype=float))
-    m, n = sw.shape
-    step = max(1, _BLOCK_VERTICES // (n + 2))
-    outs = None
-    for start in range(0, max(m, 1), step):
-        block = slice(start, start + step)
-        results = reduce(*vertices_batch(v0, sw[block], t, c))
+    source = switches if isinstance(switches, SwitchRows) else _array_rows(switches)
+    m = sum(rows for _, rows in source.groups)
+    outs, start = None, 0
+    for _, sw in _switch_blocks(source, t):
+        results = reduce(*vertices_batch(v0, sw, t, c))
         if outs is None:
             outs = tuple(np.empty(m, dtype=r.dtype) for r in results)
+        stop = start + len(sw)
         for out, r in zip(outs, results):
-            out[block] = r
+            out[start:stop] = r
+        start = stop
     return outs
 
 
@@ -330,22 +410,36 @@ def _run_chunks(work, reps: int, seed: int, threads: int) -> list:
         return list(pool.map(run, range(len(sizes))))
 
 
-def _switch_groups(
+def _check_counts(n: Optional[int], params: MotionParams, t: float) -> None:
+    """Refuse switch counts that no block of ``_BLOCK_VERTICES`` can hold.
+
+    A conditional count needs n + 2 <= ``_BLOCK_VERTICES``.  An unconditional
+    one needs lambda*t <= ``_BLOCK_VERTICES`` / 2: a Poisson count then passes
+    2^16 - 2 only beyond 180 standard deviations.
+    """
+    if n is not None and n + 2 > _BLOCK_VERTICES:
+        raise ValueError(f"switch count n = {n} is above the Monte Carlo limit "
+                         f"n <= {_BLOCK_VERTICES - 2}")
+    if n is None and params.lam * t > _BLOCK_VERTICES / 2:
+        raise ValueError(f"lambda*t = {params.lam * t:g} is above the Monte Carlo limit "
+                         f"lambda*t <= {_BLOCK_VERTICES // 2}")
+
+
+def _chunk_rows(
     n: Optional[int], params: MotionParams, t: float, count: int, rng: np.random.Generator
 ):
-    """Switch rows of one chunk as (row selector, sorted switch times) groups.
+    """Each row's switch count (None for n switches in every row) and the
+    source of one chunk's switch rows, drawn from ``rng``.
 
-    With ``n`` given every row has n switches; with ``n=None`` each row draws
-    a Poisson(lambda*t) count and rows are grouped by count, in increasing
-    order.
+    With ``n=None`` each row draws a Poisson(lambda*t) count, and the rows
+    are grouped by count in increasing order.
     """
+    draw = lambda k, m: sample_switches_batch(k, t, m, rng)
     if n is not None:
-        yield slice(None), sample_switches_batch(n, t, count, rng)
-        return
+        return None, SwitchRows(((n, count),), draw)
     counts = rng.poisson(params.lam * t, size=count)
-    for k in np.unique(counts):
-        sel = counts == k
-        yield sel, sample_switches_batch(int(k), t, int(sel.sum()), rng)
+    ks, sizes = np.unique(counts, return_counts=True)
+    return counts, SwitchRows(tuple(zip(ks.tolist(), sizes.tolist())), draw)
 
 
 def mc_probability(
@@ -365,9 +459,12 @@ def mc_probability(
     conditionally on n switches; ``v0="uniform"`` draws a fair coin per
     path.  Paths are drawn in chunks of ``CHUNK`` rows, chunk i from stream
     i of ``seed``; the result depends only on (seed, reps), not on
-    ``threads`` or scheduling.
+    ``threads`` or scheduling.  The switch counts must fit one block of
+    ``_BLOCK_VERTICES`` vertices: n <= 2^16 - 2, or lambda*t <= 2^15 without
+    n; outside that domain a ``ValueError`` is raised before any draw.
     """
     _check_horizon(t)
+    _check_counts(n, params, t)
     uniform = v0 == "uniform" or v0 is None
     fixed = None if uniform else _resolve_v0(v0, rng=None)  # draws nothing
 
@@ -376,10 +473,14 @@ def mc_probability(
             signs = np.where(rng.random(count) < 0.5, VelocitySign.PLUS, VelocitySign.MINUS)
         else:
             signs = np.full(count, fixed, dtype=object)
-        hits = 0
-        for sel, sw in _switch_groups(n, params, t, count, rng):
-            for sign, row in zip(signs[sel], sw.tolist()):
-                hits += bool(event(TelegraphPath(sign, t, row), params))
+        counts, rows = _chunk_rows(n, params, t, count, rng)
+        if counts is not None:
+            signs = signs[np.argsort(counts, kind="stable")]  # into group order
+        hits = i = 0
+        for block, sw in _switch_blocks(rows, t):
+            for k, row in zip(np.repeat(*zip(*block)).tolist(), sw.tolist()):
+                hits += bool(event(TelegraphPath(signs[i], t, row[:k]), params))
+                i += 1
         return hits
 
     total = sum(_run_chunks(work, reps, seed, threads))
@@ -446,14 +547,14 @@ def mc_density_histogram(
 
     ``functional`` is one of ``position``, ``max``, ``fpt`` (needs a level
     ``beta > 0``), ``return``; undefined values (NaN) fall in no bin.
-    Paths are drawn in chunks as in :func:`mc_probability`, so the
-    histogram depends only on (seed, reps).  Per bin, the density estimate
-    is frequency/width with standard error sqrt(p(1-p)/reps)/width, where
-    an empty bin falls back to p = 1/reps.  ``analytic``, where given, is a
-    density taking an array of points; it is called on the nodes of a
-    Gauss-Legendre rule in every bin, a block of at most ``_BLOCK_VERTICES``
-    points at a time, and each bin carries its bin average ref and a
-    z-score against it, under the error the reference predicts
+    Paths are drawn in chunks as in :func:`mc_probability`, on the same
+    domain of switch counts, so the histogram depends only on (seed, reps).
+    Per bin, the density estimate is frequency/width with standard error
+    sqrt(p(1-p)/reps)/width, where an empty bin falls back to p = 1/reps.
+    ``analytic``, where given, is a density taking an array of points; it is
+    called on the nodes of a Gauss-Legendre rule in every bin, a block of at
+    most ``_BLOCK_VERTICES`` points at a time, and each bin carries its bin
+    average ref and a z-score against it, under the error the reference predicts
     (p = ref*width in the formula above), not the bin's own.  The rule has
     n // 2 + 2 nodes, at most ``_MAX_BIN_NODES``: a conditional density is a
     polynomial of degree at most n - 1 on each piece of its support, so a
@@ -477,11 +578,10 @@ def mc_density_histogram(
         if beta is None or not beta > 0.0:
             raise ValueError(f"functional {functional!r} needs a level beta > 0, got {beta}")
         fn = functools.partial(fn, beta=beta)
+    _check_counts(n, params, t)
 
     def work(count: int, rng: np.random.Generator) -> np.ndarray:
-        vals = np.empty(count)
-        for sel, sw in _switch_groups(n, params, t, count, rng):
-            vals[sel] = fn(v0, sw, t, params.c)
+        vals = fn(v0, _chunk_rows(n, params, t, count, rng)[1], t, params.c)
         counts, _ = np.histogram(vals[~np.isnan(vals)], bins=bins, range=(lo, hi))
         return counts
 

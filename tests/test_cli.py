@@ -304,6 +304,15 @@ class TestReflect:
         assert code == 1
         assert out and "residual above 1e-12" in err
 
+    def test_short_run_fails(self, capsys):
+        # at beta = 0.9999 almost no 2-switch path ends in (2*beta - ct, beta]
+        code, out, err = run_cli(
+            capsys, "reflect", "--beta", "0.9999", "--n", "2", "--count", "1", "--seed", "1"
+        )
+        assert code == 1
+        assert out.strip() == ""
+        assert "note: emitted 0 of 1 requested paths after 10000 attempts" in err
+
     def test_level_outside_cone_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "reflect", "--beta", "2.0", "--t", "1", "--switch-times", "0.5"
@@ -340,6 +349,10 @@ class TestKac:
     ("simulate --functional position --range=-1:1 --reps 100 --t 0", 2),
     ("simulate --functional position --range=-1:1 --reps 100 --t -1", 2),
     ("simulate --functional position --range=-1:1 --reps 100 --t nan", 2),
+    # switch counts that no block of 2^16 vertices holds are refused before drawing
+    ("simulate --functional max --lambda 1e9 --range=0:1 --reps 2", 2),
+    ("simulate --functional max --lambda 32769 --range=0:1 --reps 2", 2),
+    ("simulate --functional max --n 65535 --range=0:1 --reps 2", 2),
     # sampled reflect checks its level and switch count before drawing
     ("reflect --beta 2 --count 20", 2),
     ("reflect --beta nan", 2),
@@ -347,6 +360,9 @@ class TestKac:
     # at beta = 0 the up-crossing is the start vertex, a degenerate cut
     ("reflect --beta 0 --n 4 --count 20 --seed 2", 2),
     ("reflect --beta 0 --t 4 --switch-times 1.5,3", 2),
+    # a level within DEGENERATE_REL_TOL * c*t of the start makes every cut degenerate
+    ("reflect --beta 1e-13 --n 4 --count 5", 2),
+    ("reflect --beta 2e-12 --c 2 --n 4 --count 5", 2),
 ])
 def test_exit_code_without_traceback(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv.split())

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -251,6 +252,175 @@ class TestVertexBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * sampler.CHUNK * n * np.dtype(float).itemsize
+
+
+class TestSwitchRowDriver:
+    """The driver draws each block's rows when it reaches the block; shared blocks pad
+    rows with switches at t.  Neither changes a bit against per-group array calls."""
+
+    T = 1.3
+    # count 0, several small groups, one large group and a one-row group
+    GROUPS = ((0, 5), (1, 7), (2, 3), (3, 40), (5, 2), (9, 1))
+    SCALAR = [
+        lambda p: position_at(p, p.horizon, MotionParams(0.7, 1.0)),
+        lambda p: running_max(p, MotionParams(0.7, 1.0)),
+        lambda p: first_passage(p, 0.2, MotionParams(0.7, 1.0)),
+        lambda p: first_return(p, MotionParams(0.7, 1.0)),
+    ]
+
+    def _source(self, seed):
+        rng = RngStream(seed).generator()
+        return sampler.SwitchRows(
+            self.GROUPS, lambda k, m: sampler.sample_switches_batch(k, self.T, m, rng))
+
+    def _per_group(self, seed):
+        rng = RngStream(seed).generator()
+        return [sampler.sample_switches_batch(k, self.T, m, rng) for k, m in self.GROUPS]
+
+    FUNCTIONALS = [
+        lambda v0, sw: sampler.position_batch(v0, sw, 1.3, 0.7),
+        lambda v0, sw: sampler.running_max_batch(v0, sw, 1.3, 0.7),
+        lambda v0, sw: sampler.first_passage_batch(v0, sw, 1.3, 0.7, 0.2),
+        lambda v0, sw: sampler.first_return_batch(v0, sw, 1.3, 0.7),
+        lambda v0, sw: sampler.max_is_zero_batch(v0, sw, 1.3, 0.7),
+        lambda v0, sw: sampler.max_equals_position_batch(v0, sw, 1.3, 0.7),
+    ]
+
+    @pytest.mark.parametrize(
+        "block_vertices, plan",
+        [
+            # every group in one block, padded to count 9
+            (1 << 40, [GROUPS]),
+            # small groups share blocks, count 3 is cut across blocks of 8 paths
+            (40, [[(0, 5), (1, 7)], [(2, 3)], *[[(3, 8)]] * 5, [(5, 2), (9, 1)]]),
+            # one-path blocks
+            (1, [[(k, 1)] for k, m in GROUPS for _ in range(m)]),
+        ],
+    )
+    def test_block_plan(self, monkeypatch, block_vertices, plan):
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", block_vertices)
+        assert [list(b) for b in sampler._blocks(self.GROUPS)] == [list(b) for b in plan]
+
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    @pytest.mark.parametrize("block_vertices", [1, 4, 40, 100, 1 << 40])
+    def test_functionals_equal_per_group_calls(self, monkeypatch, v0, block_vertices):
+        groups = self._per_group(41)
+        want = [np.concatenate([f(v0, sw) for sw in groups]) for f in self.FUNCTIONALS]
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", block_vertices)
+        got = [f(v0, self._source(41)) for f in self.FUNCTIONALS]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        rows = [tuple(row) for sw in groups for row in sw.tolist()]
+        for values, scalar in zip(got, self.SCALAR):
+            for value, row in zip(values.tolist(), rows):
+                expect = scalar(TelegraphPath(v0, self.T, row))
+                if expect is None:
+                    assert math.isnan(value)
+                else:
+                    assert value == pytest.approx(expect, abs=1e-12)
+
+    def test_draws_each_block_when_it_reaches_it(self, monkeypatch):
+        events = []
+        source = self._source(42)
+        draw = lambda k, m: events.append((k, m)) or source.draw(k, m)
+        reduce = lambda times, pos: events.append(pos.shape) or (pos[-1],)
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 40)
+        sampler.reduce_vertices(reduce, PLUS, source._replace(draw=draw), self.T, 0.7)
+        want = []
+        for block in sampler._blocks(self.GROUPS):
+            want += [*block, (block[-1][0] + 2, sum(m for _, m in block))]
+        assert events == want
+
+    @pytest.mark.parametrize("dist, args", [("uniform", (0.0, 1.3)), ("poisson", (3.0,)),
+                                            ("poisson", (1000.0,))])
+    def test_piecewise_draws_equal_one_draw(self, dist, args):
+        # the driver's stream contract: (a, k) then (b, k) gives the bits of (a + b, k)
+        one = getattr(RngStream(43).generator(), dist)(*args, size=(37, 5))
+        rng = RngStream(43).generator()
+        parts = [getattr(rng, dist)(*args, size=(m, 5)) for m in (1, 11, 25)]
+        assert np.concatenate(parts).tobytes() == one.tobytes()
+
+    @staticmethod
+    def _group_histogram(functional, v0, params, reps, seed, bins, value_range, beta):
+        # the per-group layout spelled out: each chunk draws its Poisson counts, then
+        # every count group whole, in increasing count
+        fn = dict(position=sampler.position_batch, max=sampler.running_max_batch,
+                  fpt=functools.partial(sampler.first_passage_batch, beta=beta),
+                  ret=sampler.first_return_batch)[functional]
+        total = np.zeros(bins, dtype=np.int64)
+        for i, start in enumerate(range(0, reps, sampler.CHUNK)):
+            rng = RngStream(seed, i).generator()
+            counts = rng.poisson(params.lam, size=min(sampler.CHUNK, reps - start))
+            for k in np.unique(counts):
+                sw = sampler.sample_switches_batch(int(k), 1.0, int((counts == k).sum()), rng)
+                vals = fn(v0, sw, 1.0, params.c)
+                total += np.histogram(vals[~np.isnan(vals)], bins=bins, range=value_range)[0]
+        return total
+
+    @pytest.mark.parametrize("lam, reps", [(0.1, 3 * 5000), (3.0, 20000), (30.0, 20000),
+                                           (1000.0, 3000)])
+    @pytest.mark.parametrize("functional", ["max", "fpt", "ret"])
+    def test_unconditional_histogram_equals_per_group_counts(self, lam, reps, functional):
+        params = MotionParams(c=1.0, lam=lam)
+        bins, value_range, v0 = 24, (-1.0, 1.0), MINUS if functional == "max" else PLUS
+        want = self._group_histogram(functional, v0, params, reps, 44, bins, value_range, 0.3)
+        got = sampler.mc_density_histogram(
+            "return" if functional == "ret" else functional, v0, None, params, 1.0,
+            bins=bins, value_range=value_range, reps=reps, seed=44, threads=2,
+            beta=0.3 if functional == "fpt" else None,
+        )
+        width = (value_range[1] - value_range[0]) / bins
+        assert [b.report.estimate for b in got] == [k / reps / width for k in want]
+
+    def test_uniform_start_probability_equals_per_path_reference(self, monkeypatch):
+        # per chunk: the sign coins, the Poisson counts, then each count group whole;
+        # row j of a group is the j-th row of that count in chunk order
+        monkeypatch.setattr(sampler, "CHUNK", 1000)
+        params, reps = MotionParams(c=1.0, lam=3.0), 2500
+        event = lambda p, params: position_at(p, 1.0, params) > 0.1 * p.n_switches
+        hits = 0
+        for i, start in enumerate(range(0, reps, sampler.CHUNK)):
+            rng = RngStream(45, i).generator()
+            size = min(sampler.CHUNK, reps - start)
+            plus = rng.random(size) < 0.5
+            counts = rng.poisson(params.lam, size=size)
+            for k in np.unique(counts):
+                sel = counts == k
+                sw = sampler.sample_switches_batch(int(k), 1.0, int(sel.sum()), rng)
+                for up, row in zip(plus[sel], sw.tolist()):
+                    hits += event(TelegraphPath(PLUS if up else MINUS, 1.0, row), params)
+        got = sampler.mc_probability(event, params, 1.0, reps, v0="uniform", seed=45,
+                                     threads=2)
+        assert got.estimate == hits / reps
+
+    def test_large_n_chunk_peak_memory(self):
+        # a whole-chunk draw of these 2000 rows alone takes 160 MB
+        tracemalloc.start()
+        try:
+            sampler.mc_density_histogram(
+                "max", PLUS, 10_000, PARAMS, 1.0, bins=20, value_range=(0.0, 1.0),
+                reps=2000, seed=46,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("n, lam", [(sampler._BLOCK_VERTICES - 1, 1.0),
+                                        (None, sampler._BLOCK_VERTICES / 2 * 1.001)])
+    def test_counts_no_block_holds_are_refused(self, n, lam):
+        params = MotionParams(c=1.0, lam=lam)
+        with pytest.raises(ValueError, match="Monte Carlo limit"):
+            sampler.mc_density_histogram("max", PLUS, n, params, 1.0, bins=4,
+                                         value_range=(0.0, 1.0), reps=2)
+        with pytest.raises(ValueError, match="Monte Carlo limit"):
+            sampler.mc_probability(lambda p, params: True, params, 1.0, 2, n=n)
+
+    def test_largest_count_a_block_holds_is_sampled(self):
+        n = sampler._BLOCK_VERTICES - 2
+        bins = sampler.mc_density_histogram("position", PLUS, n, PARAMS, 1.0, bins=2,
+                                            value_range=(-1.0, 1.0), reps=3, seed=47)
+        assert sum(b.report.estimate for b in bins) == pytest.approx(3 / 3 / 1.0)
 
 
 class TestMcProbability:
