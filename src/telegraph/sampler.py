@@ -13,7 +13,8 @@ both draws switch rows and reduces them.  Its input is a source of switch
 rows, :class:`SwitchRows`: (count k, rows m_k) groups in increasing k and a
 ``draw(k, rows)`` that returns the next rows of count k.  A Monte Carlo
 chunk's ``draw`` calls ``sample_switches_batch`` on the chunk's generator;
-an (m, n) array is the one-group source whose ``draw`` slices it.
+an (m, n) array is the one-group source whose ``draw`` slices it, so every
+batch kernel takes either as its ``switches``.
 
 The driver cuts the groups into blocks of at most ``_BLOCK_VERTICES``
 vertices per array (2^16, at least one path), draws a block's rows only when
