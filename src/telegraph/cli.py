@@ -263,12 +263,11 @@ def cmd_reflect(args) -> int:
                              args.output)
 
     ct = args.c * args.t
-    if not 0.0 < args.beta < ct:
-        raise ValueError(f"reflect needs a level 0 < beta < c*t = {ct}, got {args.beta}")
-    if args.beta <= reflection.DEGENERATE_REL_TOL * ct:
-        # the first up-crossing, at time beta/c, is then a degenerate cut on every path
-        raise ValueError(f"reflect needs a level beta > DEGENERATE_REL_TOL * c*t = "
-                         f"{reflection.DEGENERATE_REL_TOL * ct:g}, got {args.beta}")
+    # at a lower level the first up-crossing, at time beta/c, is a degenerate cut on every path
+    low = reflection.DEGENERATE_REL_TOL * ct
+    if not low < args.beta < ct:
+        raise ValueError(f"reflect needs a level {low:g} = DEGENERATE_REL_TOL * c*t < beta < "
+                         f"c*t = {ct}, got {args.beta}")
     if args.n < 1:
         raise ValueError("reflect needs --n >= 1: a path without a switch ends above beta")
     rng = RngStream(_default_seed(args.seed), 77).generator()

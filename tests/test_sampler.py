@@ -377,8 +377,7 @@ class TestSwitchRowDriver:
         # row j of a group is the j-th row of that count in chunk order
         monkeypatch.setattr(sampler, "CHUNK", 1000)
         params, reps = MotionParams(c=1.0, lam=3.0), 2500
-        event = lambda p, params: position_at(p, 1.0, params) > 0.1 * p.n_switches
-        hits = 0
+        want = []
         for i, start in enumerate(range(0, reps, sampler.CHUNK)):
             rng = RngStream(45, i).generator()
             size = min(sampler.CHUNK, reps - start)
@@ -387,11 +386,13 @@ class TestSwitchRowDriver:
             for k in np.unique(counts):
                 sel = counts == k
                 sw = sampler.sample_switches_batch(int(k), 1.0, int(sel.sum()), rng)
-                for up, row in zip(plus[sel], sw.tolist()):
-                    hits += event(TelegraphPath(PLUS if up else MINUS, 1.0, row), params)
-        got = sampler.mc_probability(event, params, 1.0, reps, v0="uniform", seed=45,
-                                     threads=2)
-        assert got.estimate == hits / reps
+                want += [TelegraphPath(PLUS if up else MINUS, 1.0, row)
+                         for up, row in zip(plus[sel], sw.tolist())]
+        seen = []
+        event = lambda p, params: seen.append(p) or position_at(p, 1.0, params) > 0.1
+        got = sampler.mc_probability(event, params, 1.0, reps, v0="uniform", seed=45)
+        assert seen == want
+        assert got.estimate == sum(position_at(p, 1.0, params) > 0.1 for p in want) / reps
 
     def test_large_n_chunk_peak_memory(self):
         # a whole-chunk draw of these 2000 rows alone takes 160 MB
