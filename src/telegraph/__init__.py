@@ -20,13 +20,7 @@ from .path import (
     running_max,
     running_min,
 )
-from .laws import (
-    Conditioning,
-    LawValue,
-    OutOfScopeError,
-    evaluate_query,
-    evaluate_query_json,
-)
+from .laws import Conditioning, LawValue, OutOfScopeError
 from .reflection import (
     CrossingPair,
     DegeneratePathError,
@@ -45,7 +39,6 @@ from .sampler import (
     mc_density_histogram,
     mc_probability,
     sample_conditional,
-    sample_unconditional,
 )
 from .verify import CheckResult, quadrature
 
@@ -63,8 +56,6 @@ __all__ = [
     "Conditioning",
     "LawValue",
     "OutOfScopeError",
-    "evaluate_query",
-    "evaluate_query_json",
     "ReflectionContext",
     "CrossingPair",
     "ReflectionDomainError",
@@ -77,7 +68,6 @@ __all__ = [
     "RngStream",
     "McReport",
     "HistogramBin",
-    "sample_unconditional",
     "sample_conditional",
     "mc_probability",
     "mc_density_histogram",

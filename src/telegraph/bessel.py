@@ -7,8 +7,8 @@ Evaluated by the ascending power series
 with a term-ratio stopping rule.  Every distribution that needs I_r
 multiplies it by exp(-lam*t), so the scaled product exp(-x)*I_r(x) is the
 primitive; above the series switch point it is computed from the large-x
-asymptotic expansion, which avoids overflow of exp(x).  Both functions take
-arrays of arguments; a scalar is the size-1 case.
+asymptotic expansion, which avoids overflow of exp(x).  ``bessel_i_scaled``
+takes arrays of arguments; a scalar is the size-1 case.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ def _asymptotic_scaled(r: int, x: np.ndarray) -> np.ndarray:
     return total / np.sqrt(2.0 * math.pi * x)
 
 
-def _evaluate(r: int, x, scaled: bool):
+def bessel_i_scaled(r: int, x):
+    """exp(-x) * I_r(x) for r in {0, 1, 2, 3} and x >= 0; safe for large x."""
     if r not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported Bessel order {r}; supported: {SUPPORTED_ORDERS}")
     x = np.asarray(x, dtype=float)
@@ -56,17 +57,7 @@ def _evaluate(r: int, x, scaled: bool):
         raise ValueError(f"argument must be >= 0, got {np.min(x)}")
     out = np.empty(x.shape)
     small = x <= _SERIES_CUTOFF
-    xs, xl = x[small], x[~small]
-    out[small] = _series(r, xs) * np.exp(-xs) if scaled else _series(r, xs)
-    out[~small] = _asymptotic_scaled(r, xl) if scaled else _asymptotic_scaled(r, xl) * np.exp(xl)
+    xs = x[small]
+    out[small] = _series(r, xs) * np.exp(-xs)
+    out[~small] = _asymptotic_scaled(r, x[~small])
     return out[()]
-
-
-def bessel_i(r: int, x):
-    """I_r(x) for r in {0, 1, 2, 3} and x >= 0."""
-    return _evaluate(r, x, scaled=False)
-
-
-def bessel_i_scaled(r: int, x):
-    """exp(-x) * I_r(x); safe for large x."""
-    return _evaluate(r, x, scaled=True)

@@ -26,12 +26,11 @@ Conventions
 
 The table ``LAWS`` holds every law a query can name.  ``resolve`` binds a
 query's fixed part once and returns the law as an array function of its free
-variables; ``evaluate_query`` and ``telegraph eval`` both go through it.
+variables; ``telegraph eval`` goes through it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -133,11 +132,6 @@ def position_pdf(sign: int, n: int, x, t: float, c: float):
         return _zero(x)
     inside = (-ct <= x) & (x <= ct)
     return _on(inside, _position(n, x / ct * inside, sign) / ct)
-
-
-def position_pdf_unsigned(n: int, x, t: float, c: float):
-    """Density of the position given only N(t) = n (velocity averaged)."""
-    return position_pdf(0, n, x, t, c)
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +287,6 @@ def joint_cdf_in_max_pdf(v0: VelocitySign, n: int, beta, x, t: float, c: float):
     else:
         above = math.comb(n, k) * k / 2**n * _bump(v, k + 1, k - 1)
     value = _position(n, u, v0.value_sign) - _on(cut, above)
-    return _on(inside, value / ct)
-
-
-def joint_tail_in_position_pdf(v0: VelocitySign, n: int, beta, x, t: float, c: float):
-    """Density in beta of P{M(t) in dbeta, T(t) < x}, for beta in (0, ct)
-    and x in (2*beta - ct, beta]."""
-    ct = c * t
-    beta, x = _arr(beta), _arr(x)
-    if n == 0:
-        return _zero(beta, x)
-    inside = (0.0 < beta) & (beta < ct) & (2 * beta - ct < x) & (x <= beta)
-    v = (2 * beta - x) / ct * inside
-    k, odd = divmod(n, 2)
-    if not odd:  # same for both starting signs
-        value = math.comb(n, k) * k / 2 ** (n - 1) * _bump(v, k, k - 1)
-    elif v0 is VelocitySign.PLUS:
-        value = math.comb(n, k) * (k + 1) / 4**k * _bump(v, k, k)
-    else:
-        value = math.comb(n, k) * k / 4**k * _bump(v, k + 1, k - 1)
     return _on(inside, value / ct)
 
 
@@ -793,25 +768,3 @@ def resolve(
         raise _overflow(law, n) from None
     return Resolved(law, n, free, kind, at, pdf, atoms)
 
-
-def evaluate_query(query: dict) -> dict:
-    """Evaluate one JSON law query: resolve its fixed part, then one point.
-
-    Input keys: v0 ("+"/"-"), n (int or null), law, t, c, lambda, component
-    (joint only, default "density"), beta for the first-passage level, and
-    the law's free variables among x, beta, s.  Output: {"kind", "value",
-    "at"}.
-    """
-    law = resolve(
-        query["law"], query["v0"], query.get("n"), query["t"], query["c"],
-        query["lambda"], query.get("component", "density"), query.get("beta"),
-    )
-    missing = [var for var in law.free if query.get(var) is None]
-    if missing:
-        raise ValueError(f"law {law.law} needs {', '.join(missing)}")
-    point = [float(query[var]) for var in law.free]
-    return {"kind": law.kind, "value": float(law.values(*point)), "at": law.at.format(*point)}
-
-
-def evaluate_query_json(line: str) -> str:
-    return json.dumps(evaluate_query(json.loads(line)))

@@ -17,9 +17,6 @@ class VelocitySign(enum.Enum):
     def value_sign(self) -> int:
         return 1 if self is VelocitySign.PLUS else -1
 
-    def flipped(self) -> "VelocitySign":
-        return VelocitySign.MINUS if self is VelocitySign.PLUS else VelocitySign.PLUS
-
     @classmethod
     def from_str(cls, s: str) -> "VelocitySign":
         if s in ("+", "plus", "Plus", "PLUS"):

@@ -7,9 +7,8 @@ these times, never stored, so there is a single source of truth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .params import MotionParams, VelocitySign
 
@@ -27,20 +26,6 @@ class TelegraphPath:
         err = validate(self)
         if err is not None:
             raise ValueError(err)
-
-    @property
-    def n_switches(self) -> int:
-        return len(self.switch_times)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"v0": self.v0.value, "t": self.horizon, "switches": list(self.switch_times)}
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "TelegraphPath":
-        d = json.loads(s)
-        return cls(VelocitySign.from_str(d["v0"]), float(d["t"]), tuple(d["switches"]))
 
 
 def validate(path: TelegraphPath) -> Optional[str]:
@@ -132,8 +117,3 @@ def first_return(path: TelegraphPath, params: MotionParams) -> Optional[float]:
             return times[i - 1]
     return None
 
-
-def flipped(path: TelegraphPath) -> TelegraphPath:
-    """Path with negated initial velocity; its positions are the pointwise
-    negation of the original's."""
-    return TelegraphPath(path.v0.flipped(), path.horizon, path.switch_times)

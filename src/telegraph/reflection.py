@@ -6,9 +6,8 @@ point, and ends at ``x <= beta`` can be cut at its first two crossings of
 at ``2*beta - x``.  The rearrangement is a bijection between the two sets
 of paths: it permutes the three pieces of the trajectory and reflects two
 of them, so it preserves the switch count and the joint law of the switch
-times.  This module implements the forward transform, its inverse, the
-classification of crossing displacements, and the equivalent affine map on
-position vectors.
+times.  This module implements the forward transform, its inverse and the
+classification of crossing displacements.
 
 There is one engine: the batch kernels ``crossings_batch``,
 ``zero_return_crossings_batch`` and ``reflect_batch`` find the cut points
@@ -38,7 +37,6 @@ __all__ = [
     "classify_crossings",
     "negative_reflect",
     "negative_reflect_inverse",
-    "affine_map_vector_form",
     "crossings_batch",
     "zero_return_crossings_batch",
     "reflect_batch",
@@ -220,32 +218,6 @@ def negative_reflect_inverse(
     if not in_P_plus(out, ctx):  # pragma: no cover - internal consistency
         raise ReflectionDomainError("inverse surgery left the stated preimage set")
     return out
-
-
-def affine_map_vector_form(
-    v_plus: np.ndarray, pair: CrossingPair, beta: float
-) -> np.ndarray:
-    """Affine image of the vector of positions at switch times and horizon.
-
-    ``v_plus`` lists the upward-start path's positions at its n switch
-    times and at the horizon.  The transform acts by blocks: the l-h
-    entries spanning the excursion above the level map to ``beta - x_i``
-    (reflected and moved to the front), the first h-1 entries shift behind
-    them unchanged, and the last n-l+2 entries map to ``2*beta - x_i``.
-    The matrix is a signed permutation, so the map has unit Jacobian.
-    """
-    v = np.asarray(v_plus, dtype=float)
-    h, l = pair.h, pair.l
-    n = v.shape[0] - 1
-    if not l <= n + 1:
-        raise ReflectionDomainError(f"pair ({h}, {l}) incompatible with n={n}")
-    if np.any(v[: h - 1] >= beta) or np.any(v[h - 1 : l - 1] <= beta) or v[l - 1] >= beta:
-        raise ReflectionDomainError(
-            "position vector sign pattern inconsistent with crossing pair"
-        )
-    return np.concatenate(
-        [beta - v[h - 1 : l - 1], v[: h - 1], 2.0 * beta - v[l - 1 :]]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ conditionally on the number of switches, in which case the switch times
 are uniform order statistics on (0, t).  Batch helpers evaluate path
 functionals (position, running maximum, first-passage and return times,
 and the exact singular events M = 0 and M = T(t)) over many paths at once
-with numpy; the scalar samplers return :class:`TelegraphPath` objects.
+with numpy; ``sample_conditional`` returns one :class:`TelegraphPath`.
 
 Every batch kernel, these and the crossing kernels of ``reflection``, is a
 reduction of vertex arrays run by one driver, ``reduce_vertices``, which
@@ -60,7 +60,6 @@ __all__ = [
     "RngStream",
     "McReport",
     "HistogramBin",
-    "sample_unconditional",
     "sample_conditional",
     "sample_switches_batch",
     "SwitchRows",
@@ -119,32 +118,9 @@ class HistogramBin:
     report: McReport
 
 
-def _resolve_v0(v0_policy, rng: np.random.Generator) -> VelocitySign:
-    if v0_policy == "uniform" or v0_policy is None:
-        return VelocitySign.PLUS if rng.random() < 0.5 else VelocitySign.MINUS
-    if isinstance(v0_policy, VelocitySign):
-        return v0_policy
-    return VelocitySign.from_str(v0_policy)
-
-
 def _check_horizon(t: float) -> None:
     if not (np.isfinite(t) and t > 0.0):
         raise ValueError(f"time t must be finite and > 0, got {t}")
-
-
-def sample_unconditional(
-    params: MotionParams, t: float, v0_policy, rng: np.random.Generator
-) -> TelegraphPath:
-    """Path with Poisson(lambda*t) switches at uniform order statistics.
-
-    ``v0_policy`` is a :class:`VelocitySign`, one of the strings
-    ``"+"/"-"``, or ``"uniform"`` for a fair coin on the initial velocity.
-    """
-    _check_horizon(t)
-    v0 = _resolve_v0(v0_policy, rng)
-    n = int(rng.poisson(params.lam * t))
-    times = np.sort(rng.uniform(0.0, t, size=n))
-    return TelegraphPath(v0, t, tuple(times.tolist()))
 
 
 def sample_conditional(
@@ -267,18 +243,18 @@ def _blocks(groups: Sequence[Tuple[int, int]]):
 
 
 def _switch_blocks(source: SwitchRows, t: float):
-    """(parts, switches) of each block of a source, drawn when reached: the
-    rows of a shared block are padded with switches at t to its largest count."""
+    """Switches of each block of a source, drawn when reached: the rows of a
+    shared block are padded with switches at t to its largest count."""
     for block in _blocks(source.groups):
         if len(block) == 1:
-            yield block, source.draw(*block[0])
+            yield source.draw(*block[0])
             continue
         sw = np.full((sum(m for _, m in block), block[-1][0]), float(t))
         row = 0
         for k, m in block:
             sw[row : row + m, :k] = source.draw(k, m)
             row += m
-        yield block, sw
+        yield sw
 
 
 def reduce_vertices(
@@ -303,7 +279,7 @@ def reduce_vertices(
     source = switches if isinstance(switches, SwitchRows) else _array_rows(switches)
     m = sum(rows for _, rows in source.groups)
     outs, start = None, 0
-    for _, sw in _switch_blocks(source, t):
+    for sw in _switch_blocks(source, t):
         results = reduce(*vertices_batch(v0, sw, t, c))
         if outs is None:
             outs = tuple(np.empty(m, dtype=r.dtype) for r in results)
@@ -467,21 +443,23 @@ def mc_probability(
     _check_horizon(t)
     _check_counts(n, params, t)
     uniform = v0 == "uniform" or v0 is None
-    fixed = None if uniform else _resolve_v0(v0, rng=None)  # draws nothing
+    if not (uniform or isinstance(v0, VelocitySign)):
+        v0 = VelocitySign.from_str(v0)
 
     def work(count: int, rng: np.random.Generator) -> int:
         if uniform:
             signs = np.where(rng.random(count) < 0.5, VelocitySign.PLUS, VelocitySign.MINUS)
         else:
-            signs = np.full(count, fixed, dtype=object)
+            signs = np.full(count, v0, dtype=object)
         counts, rows = _chunk_rows(n, params, t, count, rng)
         if counts is not None:
             signs = signs[np.argsort(counts, kind="stable")]  # into group order
         hits = i = 0
-        for block, sw in _switch_blocks(rows, t):
-            for k, row in zip(np.repeat(*zip(*block)).tolist(), sw.tolist()):
-                hits += bool(event(TelegraphPath(signs[i], t, row[:k]), params))
-                i += 1
+        for block in _blocks(rows.groups):
+            for k, m in block:
+                for row in rows.draw(k, m).tolist():
+                    hits += bool(event(TelegraphPath(signs[i], t, row), params))
+                    i += 1
         return hits
 
     total = sum(_run_chunks(work, reps, seed, threads))

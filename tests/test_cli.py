@@ -339,8 +339,9 @@ class TestKac:
     ("eval --law joint --n 4 --beta 0.5 --x-grid=-1:nan:3", 2),
     ("eval --law position --n 5 --x 0 --c inf", 2),
     ("eval --law position --n 5 --x 0 --lambda nan", 2),
-    # kac: a horizon t > 0, two values of c to compare, finite lambda = c^2
+    # kac: a horizon t > 0, two distinct values of c to compare, finite lambda = c^2
     ("kac --t 0", 2),
+    ("kac --c-values 5 5", 2),
     ("kac --c-values 1e300", 2),
     ("kac --c-values 20 1e300", 2),
     # one bin holding every sample has standard error 0 and no z-score

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -237,7 +236,7 @@ class TestPositionLaw:
                     laws.position_pdf(+1, n, x, 1.0, 1.0)
                     + laws.position_pdf(-1, n, x, 1.0, 1.0)
                 )
-                assert laws.position_pdf_unsigned(n, x, 1.0, 1.0) == pytest.approx(avg)
+                assert laws.position_pdf(0, n, x, 1.0, 1.0) == pytest.approx(avg)
 
     def test_outside_light_cone_is_zero(self):
         assert laws.position_pdf(+1, 2, 1.5, 1.0, 1.0) == 0.0
@@ -250,10 +249,9 @@ class TestPositionLaw:
         assert laws.position_pdf(+1, 2, 1.0, 1.0, 1.0) == pytest.approx(inside, rel=1e-9)
 
     def test_wrapper_reports_density_kind(self):
-        query = {"v0": "+", "n": 2, "law": "position", "t": 1.0, "c": 1.0, "lambda": 1.0}
-        out = laws.evaluate_query({**query, "x": 0.2})
-        assert out["kind"] == "density"
-        assert out["value"] == laws.position_pdf(+1, 2, 0.2, 1.0, 1.0)
+        law = laws.resolve("position", "+", 2, t=1.0, c=1.0, lam=1.0)
+        assert law.kind == "density"
+        assert law.values(0.2) == laws.position_pdf(+1, 2, 0.2, 1.0, 1.0)
 
 
 class TestMaxLaw:
@@ -372,22 +370,6 @@ class TestJointLaw:
     def test_single_switch_diagonal_density(self):
         # upward start, one switch: max == (t + endpoint/c)/2 deterministic line
         assert laws.joint_atom_diagonal_pdf(PLUS, 1, 0.3, 1.0, 1.0) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("v0", [PLUS, MINUS])
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_tail_in_position_derivative_is_joint_density(self, v0, n):
-        # d/dx P{M in dbeta, T < x} = joint density at (beta, x)
-        t = c = 1.0
-        h = 1e-5
-        worst = 0.0
-        for beta in np.linspace(0.0, c * t, 12)[1:-1]:
-            for x in np.linspace(2 * beta - c * t, beta, 12)[1:-1]:
-                slope = (
-                    laws.joint_tail_in_position_pdf(v0, n, beta, x + h, t, c)
-                    - laws.joint_tail_in_position_pdf(v0, n, beta, x - h, t, c)
-                ) / (2 * h)
-                worst = max(worst, abs(slope - laws.joint_pdf(v0, n, beta, x, t, c)))
-        assert worst <= 1e-7
 
     def test_joint_cdf_wrapper_matches_pdf_integral(self):
         # P{M <= beta, T in dx} - P{M <= max(0, x), T in dx} is the integral of
@@ -544,25 +526,25 @@ class TestPoissonMixture:
 
 
 class TestQueryInterface:
-    BASE = {"v0": "+", "t": 1.0, "c": 1.0, "lambda": 1.0}
+    FIXED = {"t": 1.0, "c": 1.0, "lam": 1.0}
 
     def test_position_query(self):
-        out = laws.evaluate_query({**self.BASE, "law": "position", "n": 2, "x": 0.2})
-        assert out == {"kind": "density", "value": pytest.approx(0.6), "at": "T(t) = 0.2"}
+        law = laws.resolve("position", "+", 2, **self.FIXED)
+        assert (law.kind, law.at.format(0.2)) == ("density", "T(t) = 0.2")
+        assert law.values(0.2) == pytest.approx(0.6)
 
     def test_unconditional_fpt_query(self):
-        out = laws.evaluate_query({**self.BASE, "law": "fpt", "n": None, "beta": 0.5})
-        assert out["value"] == pytest.approx(0.10086572740845744)
+        law = laws.resolve("fpt", "+", None, beta=0.5, **self.FIXED)
+        assert law.values() == pytest.approx(0.10086572740845744)
 
-    def test_return_query_json_round_trip(self):
-        line = json.dumps({**self.BASE, "law": "return", "v0": "-", "n": 3, "s": 0.5})
-        out = json.loads(laws.evaluate_query_json(line))
-        assert out["value"] == pytest.approx(0.46875)
+    def test_return_query(self):
+        law = laws.resolve("return", "-", 3, **self.FIXED)
+        assert law.values(0.5) == pytest.approx(0.46875)
 
     def test_unknown_law_raises(self):
         with pytest.raises(ValueError):
-            laws.evaluate_query({**self.BASE, "law": "nope", "n": 1})
+            laws.resolve("nope", "+", 1, **self.FIXED)
 
     def test_negative_switch_count_raises(self):
         with pytest.raises(ValueError):
-            laws.evaluate_query({**self.BASE, "law": "position", "n": -1, "x": 0.0})
+            laws.resolve("position", "+", -1, **self.FIXED)

@@ -1,13 +1,44 @@
+import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 import telegraph
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
 
 def test_version_matches_pyproject():
-    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     declared = re.search(
         r'^version\s*=\s*"([^"]+)"', pyproject.read_text(encoding="utf-8"), re.MULTILINE
     )
     assert declared is not None
     assert telegraph.__version__ == declared.group(1)
+
+
+@pytest.mark.parametrize("module", ["telegraph", "telegraph.sampler", "telegraph.reflection",
+                                    "telegraph.verify", "telegraph.cli"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # perfbench/tracing.py wraps program names in the namespaces that call them
+    code = "import tracing; tracing.install(tracing.Tracer())"
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})

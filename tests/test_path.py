@@ -12,7 +12,7 @@ from telegraph import (
     running_max,
     running_min,
 )
-from telegraph.path import flipped, validate
+from telegraph.path import validate
 
 PARAMS = MotionParams(c=1.0, lam=1.0)
 
@@ -22,7 +22,6 @@ def test_velocity_sign_values():
     assert VelocitySign.MINUS.value == "-"
     assert VelocitySign.PLUS.value_sign == 1
     assert VelocitySign.MINUS.value_sign == -1
-    assert VelocitySign.PLUS.flipped() is VelocitySign.MINUS
 
 
 def test_motion_params_validation():
@@ -53,8 +52,7 @@ def test_running_extrema_at_vertices():
     path = TelegraphPath(v0=VelocitySign.PLUS, horizon=4.0, switch_times=(1.5, 3.0))
     assert running_max(path, PARAMS) == pytest.approx(1.5)
     assert running_min(path, PARAMS) == pytest.approx(0.0)
-    down = flipped(path)
-    assert down.v0 is VelocitySign.MINUS
+    down = TelegraphPath(v0=VelocitySign.MINUS, horizon=4.0, switch_times=(1.5, 3.0))
     assert running_max(down, PARAMS) == pytest.approx(0.0)
     assert running_min(down, PARAMS) == pytest.approx(-1.5)
 

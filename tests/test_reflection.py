@@ -91,13 +91,6 @@ class TestWorkedExample:
         assert back.v0 is PLUS
         assert back.switch_times == pytest.approx(self.PATH.switch_times, abs=1e-12)
 
-    def test_affine_vector_form_agrees_with_surgery(self):
-        # positions at the switch times and the horizon
-        v_plus = np.array([1.5, 0.0, 1.0])
-        pair = classify_crossings(self.PATH, self.CTX)
-        image = reflection.affine_map_vector_form(v_plus, pair, beta=1.0)
-        assert image == pytest.approx([-0.5, 2.0, 1.0])
-
 
 class TestSingleSwitch:
     def test_one_switch_path_reflects(self):

@@ -15,7 +15,6 @@ from telegraph import (
     position_at,
     running_max,
     sample_conditional,
-    sample_unconditional,
 )
 from telegraph import laws, reflection, sampler, verify
 from telegraph.path import _vertices
@@ -51,26 +50,16 @@ class TestPathSampling:
             assert list(path.switch_times) == sorted(path.switch_times)
             assert all(0.0 < s < 2.0 for s in path.switch_times)
 
-    def test_unconditional_count_is_poisson(self):
-        rng = RngStream(1).generator()
-        params = MotionParams(c=1.0, lam=3.0)
-        counts = [
-            len(sample_unconditional(params, 2.0, "+", rng).switch_times)
-            for _ in range(4000)
-        ]
-        mean = np.mean(counts)
-        # lam * t = 6; standard error of the mean ~ sqrt(6/4000)
-        assert mean == pytest.approx(6.0, abs=5.0 * math.sqrt(6.0 / 4000.0))
-
     def test_v0_policy_fixed_signs(self):
-        rng = RngStream(2).generator()
-        assert sample_unconditional(PARAMS, 1.0, "+", rng).v0 is PLUS
-        assert sample_unconditional(PARAMS, 1.0, "-", rng).v0 is MINUS
-        assert sample_unconditional(PARAMS, 1.0, MINUS, rng).v0 is MINUS
+        starts_minus = lambda path, params: path.v0 is MINUS
+        for v0, want in (("+", 0.0), ("-", 1.0), (MINUS, 1.0)):
+            report = sampler.mc_probability(starts_minus, PARAMS, 1.0, 50, v0=v0, seed=2)
+            assert report.estimate == want
 
     def test_v0_policy_uniform_mixes(self):
-        rng = RngStream(3).generator()
-        signs = {sample_unconditional(PARAMS, 1.0, "uniform", rng).v0 for _ in range(50)}
+        signs = set()
+        sampler.mc_probability(lambda path, params: signs.add(path.v0), PARAMS, 1.0, 50,
+                               v0="uniform", seed=3)
         assert signs == {PLUS, MINUS}
 
 

@@ -145,6 +145,8 @@ class TestSuites:
     def test_kac_rejects_what_it_cannot_compare(self):
         with pytest.raises(ValueError, match="two c values"):
             verify.kac_limit_check(c_values=(50.0,))
+        with pytest.raises(ValueError, match="got 1 distinct"):
+            verify.kac_limit_check(c_values=(5.0, 5.0))
         with pytest.raises(ValueError, match="t must be > 0"):
             verify.kac_limit_check(t_values=(1.0, 0.0))
         with pytest.raises(ValueError, match="switching rate"):
