@@ -129,6 +129,22 @@ def _return_oracle(n, s):
     return printed + Fraction(n, 2) * (1 - s) ** (n - 1)
 
 
+def _tail_in_position(v0, n, beta, x, t, c):
+    """Density in beta of P{M(t) in dbeta, T(t) < x} given n >= 1 switches,
+    for beta in (0, ct) and x in (2*beta - ct, beta): the printed closed form
+    whose x-derivative is the joint density."""
+    ct = c * t
+    v = (2 * beta - x) / ct
+    k, odd = divmod(n, 2)
+    if not odd:  # same for both starting signs
+        value = math.comb(n, k) * k / 2 ** (n - 1) * (1 - v) ** k * (1 + v) ** (k - 1)
+    elif v0 is PLUS:
+        value = math.comb(n, k) * (k + 1) / 4**k * (1 - v) ** k * (1 + v) ** k
+    else:
+        value = math.comb(n, k) * k / 4**k * (1 - v) ** (k + 1) * (1 + v) ** (k - 1)
+    return value / ct
+
+
 F = Fraction
 ORACLE_N = [1, 2, 3, 8, 64, 1021, 1022, 1024, 4097, 10**4]
 PASSAGE_N = [8, 64, 170, 171, 200, 1000]
@@ -370,6 +386,22 @@ class TestJointLaw:
     def test_single_switch_diagonal_density(self):
         # upward start, one switch: max == (t + endpoint/c)/2 deterministic line
         assert laws.joint_atom_diagonal_pdf(PLUS, 1, 0.3, 1.0, 1.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tail_in_position_derivative_is_joint_density(self, v0, n):
+        # d/dx P{M in dbeta, T < x} = joint density at (beta, x)
+        t = c = 1.0
+        h = 1e-5
+        worst = 0.0
+        for beta in np.linspace(0.0, c * t, 12)[1:-1]:
+            for x in np.linspace(2 * beta - c * t, beta, 12)[1:-1]:
+                slope = (
+                    _tail_in_position(v0, n, beta, x + h, t, c)
+                    - _tail_in_position(v0, n, beta, x - h, t, c)
+                ) / (2 * h)
+                worst = max(worst, abs(slope - laws.joint_pdf(v0, n, beta, x, t, c)))
+        assert worst <= 1e-7
 
     def test_joint_cdf_wrapper_matches_pdf_integral(self):
         # P{M <= beta, T in dx} - P{M <= max(0, x), T in dx} is the integral of

@@ -14,6 +14,7 @@ from telegraph import (
     in_P_plus,
     negative_reflect,
     negative_reflect_inverse,
+    position_at,
 )
 from telegraph import reflection, sampler
 from telegraph.path import first_passage, first_return
@@ -90,6 +91,19 @@ class TestWorkedExample:
         back = negative_reflect_inverse(image, self.CTX)
         assert back.v0 is PLUS
         assert back.switch_times == pytest.approx(self.PATH.switch_times, abs=1e-12)
+
+    def test_affine_vector_form_agrees_with_surgery(self):
+        # on the positions at the switch times and the horizon, the surgery is
+        # a signed block permutation: the excursion above beta reflected and
+        # moved to the front, the part before it shifted, the tail mirrored
+        pair = classify_crossings(self.PATH, self.CTX)
+        h, l, beta = pair.h, pair.l, self.CTX.beta
+        v = np.array([position_at(self.PATH, s, PARAMS) for s in (1.5, 3.0, 4.0)])
+        blocks = np.concatenate([beta - v[h - 1 : l - 1], v[: h - 1], 2.0 * beta - v[l - 1 :]])
+        assert blocks == pytest.approx([-0.5, 2.0, 1.0])
+        image = negative_reflect(self.PATH, self.CTX)
+        vertices = (*image.switch_times, image.horizon)
+        assert [position_at(image, s, PARAMS) for s in vertices] == pytest.approx(blocks)
 
 
 class TestSingleSwitch:

@@ -50,6 +50,15 @@ class TestPathSampling:
             assert list(path.switch_times) == sorted(path.switch_times)
             assert all(0.0 < s < 2.0 for s in path.switch_times)
 
+    def test_unconditional_count_is_poisson(self):
+        counts = []
+        params = MotionParams(c=1.0, lam=3.0)
+        sampler.mc_probability(lambda path, params: counts.append(len(path.switch_times)),
+                               params, 2.0, 4000, seed=1)
+        mean = np.mean(counts)
+        # lam * t = 6; standard error of the mean ~ sqrt(6/4000)
+        assert mean == pytest.approx(6.0, abs=5.0 * math.sqrt(6.0 / 4000.0))
+
     def test_v0_policy_fixed_signs(self):
         starts_minus = lambda path, params: path.v0 is MINUS
         for v0, want in (("+", 0.0), ("-", 1.0), (MINUS, 1.0)):
