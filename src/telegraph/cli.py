@@ -98,6 +98,10 @@ _CELLS = ("beta", "x", "s")
 def cmd_eval(args) -> int:
     law = laws.resolve(args.law, args.v0, args.n, args.t, args.c, args.lam,
                        args.component, args.beta)
+    if "s" not in law.free and args.law in ("fpt", "return") and (
+            args.s is not None or args.s_grid is not None):
+        raise ValueError(f"law {args.law} without --n is a density in the horizon: "
+                         "give the time with --t, not --s or --s-grid")
     grids = []
     for var in law.free:
         grid, point = getattr(args, f"{var}_grid"), getattr(args, var)

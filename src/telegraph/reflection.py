@@ -25,7 +25,7 @@ import numpy as np
 
 from .params import MotionParams, VelocitySign
 from .path import TelegraphPath, position_at, running_max
-from .sampler import reduce_vertices
+from .sampler import _first_rows, _vertex_offsets, reduce_vertices
 
 __all__ = [
     "ReflectionContext",
@@ -246,19 +246,21 @@ def crossings_batch(switches: np.ndarray, horizon: float, c: float, beta: float)
         k = np.arange(1, pos.shape[0])[:, None]  # displacement k ends at vertex k
         # a strict crossing fixes the sign of the segment's slope
         up = (pos[:-1] < beta) & (pos[1:] > beta)
-        has_up = up.any(axis=0)
-        h = np.argmax(up, axis=0) + 1  # displacement index, 1-based
+        h, has_up = _first_rows(up)
+        h += 1  # displacement index, 1-based
         down = (pos[:-1] > beta) & (pos[1:] < beta)
         down &= k > h
-        has_down = down.any(axis=0)
-        l = np.argmax(down, axis=0) + 1
+        l, has_down = _first_rows(down)
+        l += 1
 
-        rows = np.arange(pos.shape[1])
-        t1 = times[h - 1, rows] + (beta - pos[h - 1, rows]) / c
-        t2 = times[l - 1, rows] + (pos[l - 1, rows] - beta) / c
+        tv, pv = times.ravel("K"), pos.ravel("K")
+        at1, step = _vertex_offsets(pos, h - 1)
+        at2, _ = _vertex_offsets(pos, l - 1)
+        t1 = tv[at1] + (beta - pv[at1]) / c
+        t2 = tv[at2] + (pv[at2] - beta) / c
         ok = has_up & has_down & (pos[-1] <= beta)
-        ok &= np.minimum(t1 - times[h - 1, rows], times[h, rows] - t1) > tol
-        ok &= np.minimum(t2 - times[l - 1, rows], times[l, rows] - t2) > tol
+        ok &= np.minimum(t1 - tv[at1], tv[at1 + step] - t1) > tol
+        ok &= np.minimum(t2 - tv[at2], tv[at2 + step] - t2) > tol
         # pos is not needed any more: take the distances to the level in place
         dist = pos[1:]
         touch = np.abs(np.subtract(dist, beta, out=dist), out=dist) <= tol
@@ -305,19 +307,21 @@ def zero_return_crossings_batch(
     def reduce(times, pos):
         # both cut points lie on upward segments
         back = (pos[:-1] < 0.0) & (pos[1:] >= 0.0)
-        has_back = back.any(axis=0)
-        j1 = np.argmax(back, axis=0) + 1
+        j1, has_back = _first_rows(back)
+        j1 += 1
         up = (pos[:-1] < beta) & (pos[1:] > beta)
         up &= np.arange(1, pos.shape[0])[:, None] >= j1
-        has_up = up.any(axis=0)
-        j2 = np.argmax(up, axis=0) + 1
+        j2, has_up = _first_rows(up)
+        j2 += 1
 
-        rows = np.arange(pos.shape[1])
-        u1 = times[j1 - 1, rows] + (0.0 - pos[j1 - 1, rows]) / c
-        u2 = times[j2 - 1, rows] + (beta - pos[j2 - 1, rows]) / c
+        tv, pv = times.ravel("K"), pos.ravel("K")
+        at1, step = _vertex_offsets(pos, j1 - 1)
+        at2, _ = _vertex_offsets(pos, j2 - 1)
+        u1 = tv[at1] + (0.0 - pv[at1]) / c
+        u2 = tv[at2] + (beta - pv[at2]) / c
         ok = has_back & has_up
-        ok &= np.minimum(u1 - times[j1 - 1, rows], times[j1, rows] - u1) > tol
-        ok &= np.minimum(u2 - times[j2 - 1, rows], times[j2, rows] - u2) > tol
+        ok &= np.minimum(u1 - tv[at1], tv[at1 + step] - u1) > tol
+        ok &= np.minimum(u2 - tv[at2], tv[at2 + step] - u2) > tol
         return u1, u2, j1, j2, ok
 
     return reduce_vertices(reduce, VelocitySign.MINUS, switches, horizon, c)

@@ -19,8 +19,10 @@ import numpy as np
 
 from . import laws
 from .params import MotionParams, VelocitySign
-from .path import TelegraphPath, running_max, running_min
-from .sampler import RngStream, _gauss, sample_switches_batch
+# ``running_max`` and ``running_min`` have no caller here any more; the
+# benchmark tracer (perfbench/tracing.py) patches them in this namespace
+from .path import running_max, running_min
+from .sampler import RngStream, SwitchRows, _gauss, reduce_vertices, sample_switches_batch
 
 __all__ = [
     "CheckResult",
@@ -139,8 +141,9 @@ def run_identity_suite(
 
     Each identity contributes one result summarizing the worst grid point;
     every law is called once per switch count and sign, on the whole grid.
-    The path-level min/max flip is checked path by path on pseudorandomly
-    drawn paths with a fixed seed, so the suite is reproducible.
+    The path-level min/max flip is checked on 50 pseudorandomly drawn paths
+    per switch count, with a fixed seed so the suite is reproducible: one
+    ``reduce_vertices`` pass per sign gives every path's maximum and minimum.
     """
     ct = c * t
     ns = range(1, n_max + 1)
@@ -205,14 +208,12 @@ def run_identity_suite(
     # pathwise min/max sign flip: negating the initial velocity negates paths
     rng = RngStream(seed, 900).generator()
     worst = 0.0
-    pm = MotionParams(c, 1.0)
+    extrema = lambda times, pos: (pos.max(axis=0), pos.min(axis=0))
     for n in range(0, n_max + 1):
         sw = sample_switches_batch(n, t, 50, rng)
-        for row in sw:
-            plus = TelegraphPath(VelocitySign.PLUS, t, tuple(row.tolist()))
-            minus = TelegraphPath(VelocitySign.MINUS, t, tuple(row.tolist()))
-            worst = max(worst, abs(running_min(plus, pm) + running_max(minus, pm)))
-            worst = max(worst, abs(running_min(minus, pm) + running_max(plus, pm)))
+        plus_max, plus_min = reduce_vertices(extrema, VelocitySign.PLUS, sw, t, c)
+        minus_max, minus_min = reduce_vertices(extrema, VelocitySign.MINUS, sw, t, c)
+        worst = max(worst, _gap(plus_min, -minus_max), _gap(minus_min, -plus_max))
     add("min-max-sign-flip", worst, 1e-12, "pathwise, 50 paths per n")
 
     # negating the initial velocity mirrors the position law across zero
@@ -352,12 +353,15 @@ def return_printed_suite(t: float = 1.0, n_max: int = 5) -> List[CheckResult]:
 def mc_cross_suite(reps: int = 200_000, seed: int = 0) -> List[CheckResult]:
     """Simulation estimates of the singular-event masses versus theory.
 
-    Estimates P{M = 0} for downward starts and P{M = T(t)} for upward
-    starts, n <= 6, against the cyclic masses C(2k, k)/4**k; passes within
-    3 binomial standard errors.  Deterministic for a fixed seed.
+    Estimates P{M = 0} for downward starts and P{M = T(t)} for the start
+    whose final velocity is +c, n <= 6, against the cyclic masses
+    C(2k, k)/4**k; passes within 3 binomial standard errors.  Each count's
+    rows are drawn a block at a time and reduced in one ``reduce_vertices``
+    pass of the downward start, which gives both events: for even n the
+    upward start's vertices are the exact negation of the downward ones, so
+    its M = T(t) is ``pos.min(axis=0) >= pos[-1]`` on the downward vertices.
+    Deterministic for a fixed seed.
     """
-    from .sampler import max_is_zero_batch, max_equals_position_batch
-
     t = c = 1.0
     results: List[CheckResult] = []
 
@@ -368,17 +372,26 @@ def mc_cross_suite(reps: int = 200_000, seed: int = 0) -> List[CheckResult]:
             name, abs(est - expected) <= 3 * se, est, expected, 3 * se, f"{reps} reps"))
 
     rng = RngStream(seed, 901).generator()
+    draw = lambda k, rows: sample_switches_batch(k, t, rows, rng)
     for n in range(1, 7):
-        sw = sample_switches_batch(n, t, reps, rng)
-        add(f"mc-max-zero-mass-n={n}", max_is_zero_batch(VelocitySign.MINUS, sw, t, c),
-            laws.max_atom_zero(laws.Conditioning(VelocitySign.MINUS, n)).value)
-        # M = T(t) carries mass only when the final velocity is +c; its density is a
-        # polynomial of degree n - 1 in the level, so n + 2 nodes integrate it exactly
+        # M = T(t) carries mass only when the final velocity is +c: the downward
+        # start for odd n, the upward one (the downward path negated) for even n
         v0 = VelocitySign.PLUS if n % 2 == 0 else VelocitySign.MINUS
+
+        def events(times, pos):
+            top = pos.max(axis=0)
+            at_top = top <= pos[-1] if n % 2 else pos.min(axis=0) >= pos[-1]
+            return top <= 0.0, at_top
+
+        max_zero, at_top = reduce_vertices(
+            events, VelocitySign.MINUS, SwitchRows(((n, reps),), draw), t, c)
+        add(f"mc-max-zero-mass-n={n}", max_zero,
+            laws.max_atom_zero(laws.Conditioning(VelocitySign.MINUS, n)).value)
+        # its density is a polynomial of degree n - 1 in the level, so n + 2
+        # nodes integrate it exactly
         mass = _gauss(lambda b: laws.joint_atom_max_equals_position_pdf(v0, n, b, t, c),
                       (0.0, c * t), n + 2)
-        add(f"mc-max-equals-position-mass-{v0.value}-n={n}",
-            max_equals_position_batch(v0, sw, t, c), float(mass))
+        add(f"mc-max-equals-position-mass-{v0.value}-n={n}", at_top, float(mass))
     return results
 
 

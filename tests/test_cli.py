@@ -344,6 +344,9 @@ class TestKac:
     ("kac --c-values 5 5", 2),
     ("kac --c-values 1e300", 2),
     ("kac --c-values 20 1e300", 2),
+    # the unconditional passage laws are densities in the horizon: s is --t
+    ("eval --law fpt --beta 0.5 --s 2", 2),
+    ("eval --law return --s-grid 0:1:3", 2),
     # one bin holding every sample has standard error 0 and no z-score
     ("simulate --functional position --n 8 --range=-1:1 --bins 1 --reps 100", 0),
     # simulate without a switch count checks the horizon itself
@@ -483,24 +486,40 @@ _EVAL_CASES = [
     [pytest.param(*case, id="-".join(map(str, case))) for case in _EVAL_CASES],
 )
 def test_eval_rows_equal_direct_law_calls(capsys, law, component, v0, n):
+    _check_eval_rows(capsys, law, component, v0, n, GRIDS)
+
+
+@pytest.mark.parametrize("law", ["fpt", "return"])
+@pytest.mark.parametrize("v0", "+-")
+def test_unconditional_passage_rows_without_s(capsys, law, v0):
+    # a density in the horizon t takes no --s: its one row sits at s = t
+    _check_eval_rows(capsys, law, None, v0, None,
+                     {var: grid for var, grid in GRIDS.items() if var != "s"})
+
+
+def _check_eval_rows(capsys, law, component, v0, n, grids):
     argv = ["eval", "--law", law, "--v0", v0, "--t", str(T), "--c", str(C),
             "--lambda", str(LAM), "--beta", str(LEVEL)]
-    argv += [f"--{var}-grid={lo}:{hi}:{count}" for var, (lo, hi, count) in GRIDS.items()]
+    argv += [f"--{var}-grid={lo}:{hi}:{count}" for var, (lo, hi, count) in grids.items()]
     if component is not None:
         argv += ["--component", component]
     if n is not None:
         argv += ["--n", str(n)]
     direct = _direct(law, component, VelocitySign.from_str(v0), n)
+    if direct is not None and law in ("fpt", "return") and n is None and "s" in grids:
+        direct = None  # --s-grid given for a density in t: a usage error naming --t
     code, csv_out, err = run_cli(capsys, *argv)
     json_code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
     if direct is None:
         assert (code, json_code) == (2, 2)
         assert err.startswith("error: ")
+        if law in ("fpt", "return") and n is None:
+            assert "--t" in err
         return
     free, at_point, atoms = direct
-    grids = [[float(v) for v in np.linspace(*GRIDS[var])] for var in free]
+    points = [[float(v) for v in np.linspace(*grids[var])] for var in free]
     expected = []
-    for point in itertools.product(*grids):
+    for point in itertools.product(*points):
         cells = dict(zip(free, point))
         kind, value, at = at_point(*point)
         expected.append((cells.get("beta"), cells.get("x"), cells.get("s"), kind, float(value), at))

@@ -167,6 +167,130 @@ class TestVertexMajorKernel:
                     assert got == pytest.approx(want, abs=1e-12)
 
 
+class TestSwitchDraws:
+    """``sample_switches_batch`` is ``np.sort(rng.uniform(0, t, (m, n)), axis=1)``, bit
+    for bit: the draw is t * rng.random, and rows of 2 to 6 switches are sorted by a
+    compare-exchange network."""
+
+    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("t", [1.0, 1.3, 3.0])
+    def test_equals_sorted_uniform_draw(self, n, t):
+        got = sampler.sample_switches_batch(n, t, 4001, RngStream(44, n).generator())
+        want = np.sort(RngStream(44, n).generator().uniform(0.0, t, (4001, n)), axis=1)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    def test_network_rows_come_back_as_a_fortran_view(self):
+        for n in range(9):
+            sw = sampler.sample_switches_batch(n, 1.0, 50, RngStream(45).generator())
+            assert sw.flags.c_contiguous == (n not in sampler._NETWORKS)
+            assert sw.flags.f_contiguous == (n < 2 or n in sampler._NETWORKS)
+
+    @pytest.mark.parametrize("n, comparators", [(2, 1), (3, 3), (4, 5), (5, 9), (6, 12)])
+    def test_networks_sort_every_zero_one_row(self, n, comparators):
+        # a comparator network that sorts every 0-1 row sorts every row (Knuth 5.3.4)
+        network = sampler._NETWORKS[n]
+        assert len(network) == comparators and all(i < j < n for i, j in network)
+        rows = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        for i, j in network:
+            rows[:, i], rows[:, j] = rows[:, [i, j]].min(axis=1), rows[:, [i, j]].max(axis=1)
+        assert np.array_equal(rows, np.sort(rows, axis=1))
+
+    @pytest.mark.parametrize("block_vertices", [8 * 3, 8 * 40, 1 << 40])
+    def test_block_draws_equal_sorted_uniform_draws(self, monkeypatch, block_vertices):
+        # counts 0 to 8, one group cut across blocks and a padded shared block
+        groups = ((0, 3), (1, 5), (2, 9), (3, 4), (4, 60), (5, 2), (6, 7), (7, 1), (8, 3))
+        rng = RngStream(46).generator()
+        want = [np.sort(rng.uniform(0.0, 1.3, (m, k)), axis=1) for k, m in groups]
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", block_vertices)
+        rng = RngStream(46).generator()
+        source = sampler.SwitchRows(
+            groups, lambda k, m: sampler.sample_switches_batch(k, 1.3, m, rng))
+        seen = []
+        sampler.reduce_vertices(lambda times, pos: seen.append(times[1:-1].T.copy()) or (pos[-1],),
+                                PLUS, source, 1.3, 0.7)
+        rows = iter(row for sw in want for row in sw)
+        for block, got in zip(sampler._blocks(groups), seen):
+            width = block[-1][0]
+            for k, m in block:
+                for _ in range(m):
+                    expect = np.full(width, 1.3)
+                    expect[:k] = next(rows)
+                    assert got[0].tobytes() == expect.tobytes()
+                    got = got[1:]
+            assert len(got) == 0
+        assert next(rows, None) is None
+
+
+class TestFirstRowsAndOffsets:
+    """The crossing kernels find the first true row of a vertex-major mask and read
+    vertices at flat offsets; both equal ``argmax(axis=0)`` and 2-D gathers."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 9, 255, 256, 40_000, 70_000])
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_first_rows_equal_argmax(self, rows, fortran):
+        m = 40
+        rng = RngStream(47, rows).generator()
+        # about two true entries per column, the first column all false
+        mask = rng.random((rows, m)) < 2.0 / rows
+        mask[:, :2] = False
+        mask[-1, 1] = True  # a first true entry on the last row
+        if fortran:
+            mask = np.asfortranarray(mask)
+        idx, found = sampler._first_rows(mask)
+        assert idx.dtype == np.intp
+        assert np.array_equal(idx, np.argmax(mask, axis=0))
+        assert np.array_equal(found, mask.any(axis=0))
+        assert not found[0] and idx[1] == rows - 1
+
+    @pytest.mark.parametrize("m", [1, sampler._LOOP_MIN_PATHS - 1, sampler._LOOP_MIN_PATHS])
+    def test_vertex_offsets_equal_gathers(self, m):
+        sw = sampler.sample_switches_batch(6, 1.0, m, RngStream(48).generator())
+        times, pos = sampler.vertices_batch(PLUS, sw, 1.0, 1.0)
+        assert times.flags.f_contiguous == (m < sampler._LOOP_MIN_PATHS)
+        k = RngStream(49).generator().integers(0, 7, m)
+        at, step = sampler._vertex_offsets(pos, k)
+        cols = np.arange(m)
+        assert np.array_equal(pos.ravel("K")[at], pos[k, cols])
+        assert np.array_equal(times.ravel("K")[at], times[k, cols])
+        assert np.array_equal(times.ravel("K")[at + step], times[k + 1, cols])
+
+    @pytest.mark.parametrize("n", [8, 300])
+    def test_kernels_give_the_same_bits_in_either_layout(self, monkeypatch, n):
+        # one wide (vertex-major) block against blocks below _LOOP_MIN_PATHS, which
+        # store each path contiguously; n = 300 takes two-byte mask weights
+        sw = sampler.sample_switches_batch(n, 1.0, 700, RngStream(50, n).generator())
+        beta = 0.05 if n > 8 else 0.25
+
+        def results():
+            return [
+                *reflection.crossings_batch(sw, 1.0, 1.0, beta),
+                *reflection.zero_return_crossings_batch(sw, 1.0, 1.0, beta),
+                *(sampler.first_passage_batch(v0, sw, 1.0, 1.0, beta) for v0 in (PLUS, MINUS)),
+                *(sampler.first_return_batch(v0, sw, 1.0, 1.0) for v0 in (PLUS, MINUS)),
+            ]
+
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 1 << 40)
+        wide = results()
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", (sampler._LOOP_MIN_PATHS - 1) * (n + 2))
+        narrow = results()
+        for got, want in zip(narrow, wide):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert wide[4].any() and np.isfinite(wide[10]).any()  # some rows are cut
+
+    def test_hitting_times_beyond_the_int16_range(self):
+        # n + 1 beyond the int16 range: the mask weights are uint16, the indices intp
+        n = 40_000
+        sw = sampler.sample_switches_batch(n, 1.0, 2, RngStream(51).generator())
+        fpt = sampler.first_passage_batch(PLUS, sw, 1.0, 1.0, 0.002)
+        ret = sampler.first_return_batch(MINUS, sw, 1.0, 1.0)
+        for f, r, row in zip(fpt, ret, sw):
+            want_f = first_passage(TelegraphPath(PLUS, 1.0, tuple(row)), 0.002, PARAMS)
+            want_r = first_return(TelegraphPath(MINUS, 1.0, tuple(row)), PARAMS)
+            assert f == pytest.approx(want_f, abs=1e-12)
+            assert r == pytest.approx(want_r, abs=1e-12)
+
+
 class TestVertexBlocks:
     """Cutting a batch into blocks of paths changes no bit of any kernel's result."""
 

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
-from telegraph import Conditioning, MotionParams, VelocitySign, laws, verify
+from telegraph import Conditioning, MotionParams, RngStream, TelegraphPath, VelocitySign
+from telegraph import laws, sampler, verify
+from telegraph.path import running_max, running_min
 from telegraph.verify import CheckResult, QuadratureError, quadrature
 
 PLUS = VelocitySign.PLUS
@@ -156,6 +158,44 @@ class TestSuites:
         results = verify.mc_cross_suite(reps=40000, seed=0)
         assert results
         assert all(r.passed for r in results)
+
+    def test_mc_cross_masses_equal_the_singular_event_kernels(self):
+        # one pass of the downward start gives both events of each count
+        reps = 30000
+        results = verify.mc_cross_suite(reps=reps, seed=0)
+        rng = RngStream(0, 901).generator()
+        want = []
+        for n in range(1, 7):
+            sw = sampler.sample_switches_batch(n, 1.0, reps, rng)
+            v0 = VelocitySign.PLUS if n % 2 == 0 else VelocitySign.MINUS
+            want += [
+                (f"mc-max-zero-mass-n={n}",
+                 float(sampler.max_is_zero_batch(VelocitySign.MINUS, sw, 1.0, 1.0).mean())),
+                (f"mc-max-equals-position-mass-{v0.value}-n={n}",
+                 float(sampler.max_equals_position_batch(v0, sw, 1.0, 1.0).mean())),
+            ]
+        assert [(r.name, r.observed) for r in results] == want
+
+    def test_sign_flip_extrema_equal_the_path_functionals(self, monkeypatch):
+        # every maximum and minimum the suite takes in batch is the scalar one
+        seen, reduce_vertices = [], verify.reduce_vertices
+
+        def recording(reduce, v0, switches, t, c):
+            out = reduce_vertices(reduce, v0, switches, t, c)
+            seen.append((v0, switches, out))
+            return out
+
+        monkeypatch.setattr(verify, "reduce_vertices", recording)
+        result = [r for r in verify.run_identity_suite(n_max=5, grid_points=4)
+                  if r.name == "min-max-sign-flip"]
+        assert len(result) == 1 and result[0].passed
+        assert len(seen) == 2 * 6
+        params = MotionParams(1.0, 1.0)
+        for v0, switches, (highs, lows) in seen:
+            assert switches.shape == (50, switches.shape[1])
+            paths = [TelegraphPath(v0, 1.0, tuple(row)) for row in switches.tolist()]
+            assert highs.tolist() == [running_max(p, params) for p in paths]
+            assert lows.tolist() == [running_min(p, params) for p in paths]
 
 
 class TestReporting:
