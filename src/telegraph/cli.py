@@ -11,11 +11,15 @@ when the flag is absent.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
+import math
 import os
+import string
 import sys
-from typing import List, Optional
+from itertools import chain, islice, repeat, tee
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -73,13 +77,14 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _emit(lines: List[str], output: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(lines: Iterable[str], output: Optional[str]) -> None:
+    """Write each item of ``lines`` and a newline after it.  An item may hold
+    several lines joined by newlines, so a long text can be handed over a
+    block at a time."""
+    with (open(output, "w", encoding="utf-8", newline="\n") if output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _default_seed(value: Optional[int]) -> int:
@@ -94,14 +99,36 @@ def _default_seed(value: Optional[int]) -> int:
 
 _CELLS = ("beta", "x", "s")
 
+#: CSV rows of an ``eval`` grid joined and written at a time
+_BLOCK_ROWS = 2 ** 16
+
+
+def _product_column(grid: List[float], before: int, after: int) -> Iterable[str]:
+    """The texts of one grid as a column in ``itertools.product`` order: each
+    text once per point of the later grids (``after``), and the whole tiled
+    once per point of the earlier grids (``before``).  Only a tiled column
+    keeps its texts."""
+    texts = map(repr, grid)
+    if after > 1:
+        texts = chain.from_iterable(map(repeat, texts, repeat(after)))
+    if before > 1:
+        texts = chain.from_iterable(repeat(list(texts), before))
+    return texts
+
 
 def cmd_eval(args) -> int:
     law = laws.resolve(args.law, args.v0, args.n, args.t, args.c, args.lam,
                        args.component, args.beta)
-    if "s" not in law.free and args.law in ("fpt", "return") and (
-            args.s is not None or args.s_grid is not None):
-        raise ValueError(f"law {args.law} without --n is a density in the horizon: "
-                         "give the time with --t, not --s or --s-grid")
+    # every variable given must be free; the one exception is --beta, the level of fpt
+    extra = [option for var in _CELLS if var not in law.free
+             for option, value in ((f"--{var}", getattr(args, var)),
+                                   (f"--{var}-grid", getattr(args, f"{var}_grid")))
+             if value is not None and (args.law, option) != ("fpt", "--beta")]
+    if extra:
+        horizon = ("; without --n it is a density in the horizon: give the time with --t"
+                   if args.law in ("fpt", "return") and args.n is None else "")
+        raise ValueError(f"law {args.law} takes no {', '.join(extra)}; its free variables: "
+                         f"{', '.join(law.free) or 'none'}{horizon}")
     grids = []
     for var in law.free:
         grid, point = getattr(args, f"{var}_grid"), getattr(args, var)
@@ -126,17 +153,31 @@ def cmd_eval(args) -> int:
         payload = [{**base, **dict(zip(keys, row))} for row in rows + atoms]
         _emit([json.dumps(payload, indent=2)], args.output)
         return 0
-    # every grid row is one template filled with the free variables, formatted
-    # once per grid value, and the law value: field i is free variable i
+    # every grid row is one template of the free variables and the law value,
+    # field i being free variable i; it is split once into literal pieces and
+    # columns of text, and a row is the join of one element of each
     prefix = ",".join(map(_csv_cell, (args.law, args.v0, args.n, args.t, args.c, args.lam))) + ","
     slots = {var: f"{{{i}}}" for i, var in enumerate(law.free)}
     row = (prefix + ",".join(slots.get(var, "") for var in _CELLS)
            + f",{law.kind},{{{len(law.free)}}},{_csv_cell(law.at)}")
-    lines = ["law,v0,n,t,c,lambda,beta,x,s,kind,value,at"]
-    texts = itertools.product(*([repr(v) for v in grid] for grid in grids))
-    lines += [row.format(*text, value) for text, value in zip(texts, map(repr, values))]
-    lines += [prefix + ",".join(map(_csv_cell, atom)) for atom in atoms]
-    _emit(lines, args.output)
+    sizes = [len(grid) for grid in grids]
+    columns = [*(_product_column(grid, math.prod(sizes[:i]), math.prod(sizes[i + 1:]))
+                 for i, grid in enumerate(grids)), map(repr, values)]
+    parsed = list(string.Formatter().parse(row))
+    fields = [int(field) for _, field, _, _ in parsed if field is not None]
+    # a field that occurs twice (a variable and its `at` label) reads its column twice
+    copies = {i: iter(tee(columns[i], fields.count(i))) for i in set(fields)}
+    pieces = []
+    for literal, field, _, _ in parsed:
+        if literal:
+            pieces.append(repeat(literal))
+        if field is not None:
+            pieces.append(next(copies[int(field)]))
+    rows = map("".join, zip(*pieces))
+    # a block of rows at a time, so only one block's text is alive
+    body = iter(lambda: "\n".join(islice(rows, _BLOCK_ROWS)), "")
+    atom_lines = [prefix + ",".join(map(_csv_cell, atom)) for atom in atoms]
+    _emit(chain(["law,v0,n,t,c,lambda,beta,x,s,kind,value,at"], body, atom_lines), args.output)
     return 0
 
 

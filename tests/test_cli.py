@@ -111,7 +111,7 @@ class TestEval:
     def test_conditional_max_equals_position_component(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--law", "joint", "--v0", "-", "--n", "3",
-            "--component", "max_equals_position", "--beta", "0.5", "--x", "-0.2",
+            "--component", "max_equals_position", "--beta", "0.5",
         )
         assert code == 0
         assert eval_rows(out) == [
@@ -136,7 +136,7 @@ class TestEval:
     def test_conditional_max_zero_component(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--law", "joint", "--v0", "-", "--n", "3",
-            "--component", "max_zero", "--beta", "0.5", "--x", "-0.2",
+            "--component", "max_zero", "--x", "-0.2",
         )
         assert code == 0
         assert eval_rows(out) == [
@@ -486,38 +486,45 @@ _EVAL_CASES = [
     [pytest.param(*case, id="-".join(map(str, case))) for case in _EVAL_CASES],
 )
 def test_eval_rows_equal_direct_law_calls(capsys, law, component, v0, n):
-    _check_eval_rows(capsys, law, component, v0, n, GRIDS)
+    _check_eval_rows(capsys, law, component, v0, n)
 
 
 @pytest.mark.parametrize("law", ["fpt", "return"])
 @pytest.mark.parametrize("v0", "+-")
 def test_unconditional_passage_rows_without_s(capsys, law, v0):
     # a density in the horizon t takes no --s: its one row sits at s = t
-    _check_eval_rows(capsys, law, None, v0, None,
-                     {var: grid for var, grid in GRIDS.items() if var != "s"})
+    _check_eval_rows(capsys, law, None, v0, None)
 
 
-def _check_eval_rows(capsys, law, component, v0, n, grids):
+def _eval_argv(law, component, v0, n, free):
+    """An eval query giving exactly the variables ``free`` on GRIDS, plus the
+    level of fpt."""
     argv = ["eval", "--law", law, "--v0", v0, "--t", str(T), "--c", str(C),
-            "--lambda", str(LAM), "--beta", str(LEVEL)]
-    argv += [f"--{var}-grid={lo}:{hi}:{count}" for var, (lo, hi, count) in grids.items()]
+            "--lambda", str(LAM)]
+    if law == "fpt":
+        argv += ["--beta", str(LEVEL)]
+    argv += [f"--{var}-grid={lo}:{hi}:{count}"
+             for var, (lo, hi, count) in GRIDS.items() if var in free]
     if component is not None:
         argv += ["--component", component]
     if n is not None:
         argv += ["--n", str(n)]
+    return argv
+
+
+def _check_eval_rows(capsys, law, component, v0, n):
     direct = _direct(law, component, VelocitySign.from_str(v0), n)
-    if direct is not None and law in ("fpt", "return") and n is None and "s" in grids:
-        direct = None  # --s-grid given for a density in t: a usage error naming --t
+    # a query with no law gives the table's free variables and is refused for the law itself
+    free = laws.LAWS[(law, component)].free if direct is None else direct[0]
+    argv = _eval_argv(law, component, v0, n, free)
     code, csv_out, err = run_cli(capsys, *argv)
     json_code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
     if direct is None:
         assert (code, json_code) == (2, 2)
         assert err.startswith("error: ")
-        if law in ("fpt", "return") and n is None:
-            assert "--t" in err
         return
     free, at_point, atoms = direct
-    points = [[float(v) for v in np.linspace(*grids[var])] for var in free]
+    points = [[float(v) for v in np.linspace(*GRIDS[var])] for var in free]
     expected = []
     for point in itertools.product(*points):
         cells = dict(zip(free, point))
@@ -531,3 +538,102 @@ def _check_eval_rows(capsys, law, component, v0, n, grids):
     keys = ("beta", "x", "s", "kind", "value", "at")
     got = [tuple(row[key] for key in keys) for row in json.loads(json_out)]
     assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in expected]
+
+
+def _extra_variable_cases():
+    """(law, component, v0, n, free, option): every entry at n = 3 and without
+    n, with one option for a variable it does not take, as a point and as a
+    grid; the level of fpt is a point, so only its grid is extra."""
+    for (law, component), n in itertools.product(sorted(laws.LAWS), (3, None)):
+        v0, direct = next(((v0, found) for v0 in "+-" if (found := _direct(
+            law, component, VelocitySign.from_str(v0), n)) is not None), (None, None))
+        if direct is None:
+            continue
+        for var in GRIDS:
+            if var in direct[0]:
+                continue
+            for option in (f"--{var}=0.5", f"--{var}-grid=0:1:3"):
+                if option != "--beta=0.5" or law != "fpt":
+                    yield law, component, v0, n, direct[0], option
+
+
+@pytest.mark.parametrize(
+    "law,component,v0,n,free,option",
+    [pytest.param(*case, id="-".join(map(str, case[:4] + case[5:])))
+     for case in _extra_variable_cases()],
+)
+def test_eval_refuses_variables_the_law_does_not_take(capsys, law, component, v0, n, free,
+                                                      option):
+    argv = [*_eval_argv(law, component, v0, n, free), option]
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and option.split("=")[0] in err
+        assert f"its free variables: {', '.join(free) or 'none'}" in err
+        if law in ("fpt", "return") and n is None:
+            assert "--t" in err  # a density in the horizon: its time is --t
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer against the row template filled once per point
+
+
+def _filled_csv(argv):
+    """The CSV text of ``eval`` as a row template filled by ``str.format``
+    once per grid point writes it: the oracle of the column writer's bytes."""
+    args = cli.build_parser().parse_args(argv)
+    law = laws.resolve(args.law, args.v0, args.n, args.t, args.c, args.lam,
+                       args.component, args.beta)
+    grids = [[getattr(args, var)] if getattr(args, f"{var}_grid") is None
+             else getattr(args, f"{var}_grid").tolist() for var in law.free]
+    values = law.values(*np.meshgrid(*grids, indexing="ij")).ravel().tolist()
+    prefix = ",".join(map(cli._csv_cell, (args.law, args.v0, args.n, args.t, args.c, args.lam))) + ","
+    slots = {var: f"{{{i}}}" for i, var in enumerate(law.free)}
+    row = (prefix + ",".join(slots.get(var, "") for var in ("beta", "x", "s"))
+           + f",{law.kind},{{{len(law.free)}}},{cli._csv_cell(law.at)}")
+    lines = [",".join(EVAL_HEADER)]
+    texts = itertools.product(*([repr(v) for v in grid] for grid in grids))
+    lines += [row.format(*text, value) for text, value in zip(texts, map(repr, values))]
+    lines += [prefix + ",".join(map(cli._csv_cell, (*cells, atom.kind, atom.value, atom.at)))
+              for cells, atom in law.atoms]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("query", [
+    "--law position --n 3 --x-grid=-0.9:0.9:41",
+    # 7 x 5 in product order, with the quoted label "M = ..., T = ..."
+    "--law joint --v0 - --n 3 --beta-grid 0:1:7 --x-grid=-1:1:5",
+    "--law position --n 2 --x 0.2",
+    "--law position --n 2 --x-grid=-1:1:0",  # header only
+    "--law joint --n 2 --beta-grid 0:1:0 --x-grid=-1:1:5",  # header only
+    "--law position --n 0 --x-grid=-1:1:4",  # the n = 0 atom label
+    "--law max --v0 - --n 0 --beta-grid 0:1:4",
+    "--law max --v0 - --n 3 --beta-grid 0:1:6",  # an atom row
+    "--law fpt --n 3 --beta 0.4 --s-grid 0.4:1:5",
+    "--law fpt --beta 0.4",
+    "--law joint --component corner",  # no free variable
+    "--law joint --v0 - --component corner",
+    f"--law position --n 8 --x-grid=-1:1:{cli._BLOCK_ROWS + 3}",  # the block seam
+])
+def test_eval_csv_bytes_equal_filled_template(capsys, tmp_path, query):
+    argv = ["eval", *query.split()]
+    expected = _filled_csv(argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out == expected
+    path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == expected.encode()
+
+
+def test_range_error_at_last_point_writes_no_file(capsys, monkeypatch, tmp_path):
+    real = laws.position_pdf
+    monkeypatch.setattr(laws, "position_pdf", lambda sign, n, x, t, c: np.where(
+        x == 1.0, -1.0, real(sign, n, x, t, c)))
+    path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "eval", "--law", "position", "--n", "3",
+                             "--x-grid=-1:1:9", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: negative law value -1.0 (T(t) = 1.0)")
+    assert not path.exists()
