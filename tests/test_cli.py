@@ -545,9 +545,11 @@ def _extra_variable_cases():
     n, with one option for a variable it does not take, as a point and as a
     grid; the level of fpt is a point, so only its grid is extra."""
     for (law, component), n in itertools.product(sorted(laws.LAWS), (3, None)):
-        v0, direct = next(((v0, found) for v0 in "+-" if (found := _direct(
-            law, component, VelocitySign.from_str(v0), n)) is not None), (None, None))
-        if direct is None:
+        for v0 in "+-":  # the first sign with a law: some components exist for one only
+            direct = _direct(law, component, VelocitySign.from_str(v0), n)
+            if direct is not None:
+                break
+        else:
             continue
         for var in GRIDS:
             if var in direct[0]:
