@@ -174,7 +174,8 @@ def cmd_eval(args) -> int:
         if field is not None:
             pieces.append(next(copies[int(field)]))
     rows = map("".join, zip(*pieces))
-    # a block of rows at a time, so only one block's text is alive
+    # a block of rows at a time, so only one block's text is alive; no row is
+    # empty, so an empty block marks the end
     body = iter(lambda: "\n".join(islice(rows, _BLOCK_ROWS)), "")
     atom_lines = [prefix + ",".join(map(_csv_cell, atom)) for atom in atoms]
     _emit(chain(["law,v0,n,t,c,lambda,beta,x,s,kind,value,at"], body, atom_lines), args.output)
