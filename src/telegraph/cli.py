@@ -25,16 +25,14 @@ import numpy as np
 
 from . import laws, reflection
 from .params import MotionParams, VelocitySign
+# ``position_at``, ``in_P_plus``, the three scalar reflection functions and
+# ``sample_conditional`` have no caller here any more; the benchmark tracer
+# (perfbench/tracing.py) patches them in this namespace
 from .path import TelegraphPath, position_at
-from .reflection import (
-    CrossingPair,
-    ReflectionContext,
-    classify_crossings,
-    in_P_plus,
-    negative_reflect,
-    negative_reflect_inverse,
-)
-from .sampler import RngStream, mc_density_histogram, sample_conditional
+from .reflection import (CrossingPair, classify_crossings, in_P_plus, negative_reflect,
+                         negative_reflect_inverse)
+from .sampler import (_BLOCK_VERTICES, RngStream, mc_density_histogram, position_batch,
+                      sample_conditional, sample_switches_batch)
 from . import verify as verify_mod
 
 __all__ = ["main", "build_parser"]
@@ -135,6 +133,8 @@ def cmd_eval(args) -> int:
         if grid is None and point is None:
             print(f"eval --law {args.law} needs --{var} or --{var}-grid", file=sys.stderr)
             return 2
+        if grid is not None and point is not None:
+            raise ValueError(f"law {args.law} takes --{var} or --{var}-grid, not both")
         grids.append([point] if grid is None else grid.tolist())
     # one call on the whole grid, flattened in itertools.product order
     values = law.values(*np.meshgrid(*grids, indexing="ij")).ravel().tolist()
@@ -266,14 +266,13 @@ def cmd_verify(args) -> int:
 RESIDUAL_TOL = 1e-12
 
 
-def _reflect_records(args, switches, xs, images, backs, h, l) -> List[dict]:
-    """One record per reflected upward-start path: the path and its image,
-    the level and endpoint, both crossing pairs, and the largest switch-time
-    error of the round trip."""
-    switches, images = np.asarray(switches, dtype=float), np.asarray(images, dtype=float)
-    residuals = np.abs(backs - switches).max(axis=1, initial=0.0).tolist()
-    fields = zip(switches.tolist(), images.tolist(), xs, map(CrossingPair, h, l), residuals)
-    return [{
+def _reflect_records(args, switches, xs, images, residuals, h, l) -> List[str]:
+    """One JSON record per reflected upward-start path: the path and its
+    image, the level and endpoint, both crossing pairs, and the largest
+    switch-time error of the round trip."""
+    fields = zip(switches.tolist(), images.tolist(), xs.tolist(),
+                 map(CrossingPair, h.tolist(), l.tolist()), residuals.tolist())
+    return [json.dumps({
         "input": {"v0": VelocitySign.PLUS.value, "t": args.t, "switches": row},
         "output": {"v0": VelocitySign.MINUS.value, "t": args.t, "switches": image},
         "beta": args.beta,
@@ -281,74 +280,74 @@ def _reflect_records(args, switches, xs, images, backs, h, l) -> List[dict]:
         "pair": [pair.h, pair.l],
         "image_pair": [pair.image().h, pair.image().l],
         "residual": residual,
-    } for row, image, x, pair, residual in fields]
-
-
-def _emit_records(records: List[dict], output: Optional[str]) -> int:
-    """Write one JSON line per record; 1 if a round trip missed ``RESIDUAL_TOL``."""
-    _emit([json.dumps(record) for record in records], output)
-    bad = sum(record["residual"] > RESIDUAL_TOL for record in records)
-    if bad:
-        print(f"error: {bad} of {len(records)} records have a round-trip residual "
-              f"above {RESIDUAL_TOL:g}", file=sys.stderr)
-        return 1
-    return 0
+    }) for row, image, x, pair, residual in fields]
 
 
 def cmd_reflect(args) -> int:
-    params = MotionParams(args.c, getattr(args, "lam"))
-    if args.switch_times is not None:
-        times = tuple(float(v) for v in args.switch_times.split(",") if v)
-        path = TelegraphPath(VelocitySign.PLUS, args.t, times)
-        ctx = ReflectionContext(args.beta, position_at(path, args.t, params), params, args.t)
-        pair = classify_crossings(path, ctx)
-        image = negative_reflect(path, ctx)
-        back = negative_reflect_inverse(image, ctx)
-        return _emit_records(_reflect_records(args, [times], [ctx.x], [image.switch_times],
-                                              [back.switch_times], [pair.h], [pair.l]),
-                             args.output)
-
+    MotionParams(args.c, args.lam)  # checks c and lambda
     ct = args.c * args.t
     # at a lower level the first up-crossing, at time beta/c, is a degenerate cut on every path
     low = reflection.DEGENERATE_REL_TOL * ct
     if not low < args.beta < ct:
         raise ValueError(f"reflect needs a level {low:g} = DEGENERATE_REL_TOL * c*t < beta < "
                          f"c*t = {ct}, got {args.beta}")
-    if args.n < 1:
+    explicit = args.switch_times is not None
+    if explicit:
+        times = [float(v) for v in args.switch_times.split(",") if v]
+        TelegraphPath(VelocitySign.PLUS, args.t, times)  # checks the switch times
+        count, budget, rounds = 1, 1, [np.array([times])]
+    elif args.n < 1:
         raise ValueError("reflect needs --n >= 1: a path without a switch ends above beta")
-    rng = RngStream(_default_seed(args.seed), 77).generator()
-    records = []
-    attempts = 0
-    max_attempts = 10000 * args.count
-    while len(records) < args.count and attempts < max_attempts:
-        # admit as many paths as records are missing, then transform them in one batch
-        rows, xs = [], []
-        while len(records) + len(xs) < args.count and attempts < max_attempts:
-            attempts += 1
-            path = sample_conditional(args.n, args.t, VelocitySign.PLUS, rng)
-            x = position_at(path, args.t, params)
-            if 2.0 * args.beta - ct < x <= args.beta and in_P_plus(
-                path, ReflectionContext(args.beta, x, params, args.t)
-            ):
-                rows.append(path.switch_times)
-                xs.append(x)
-        # the kernels are reached through their module, where wrappers may be installed
-        rows = np.array(rows).reshape(len(xs), args.n)
+    else:
+        count, budget = args.count, 10000 * args.count
+        rng = RngStream(_default_seed(args.seed), 77).generator()
+        # a round is one vertex block of draws, the bits of one rng.uniform(0, t, n) per row
+        block = max(1, _BLOCK_VERTICES // (args.n + 2))
+        rounds = (sample_switches_batch(args.n, args.t, min(block, budget - drawn), rng)
+                  for drawn in range(0, budget, block))
+    # the records are the first rows of the stream that pass; each round keeps
+    # (switches, x, image, round trip, h, l) of its admitted rows
+    kept, taken = [], 0
+    for rows in rounds:
+        xs = position_batch(VelocitySign.PLUS, rows, args.t, args.c)
+        # the kernels are reached through their module, where wrappers may be installed;
+        # ok implies an up-crossing, so a maximum above beta
         t1, t2, h, l, ok = reflection.crossings_batch(rows, args.t, args.c, args.beta)
-        images = reflection.reflect_batch(rows, t1, t2)
+        window = (2.0 * args.beta - ct < xs) & (xs <= args.beta)
+        cut = np.flatnonzero(ok & window)
+        images = reflection.reflect_batch(rows[cut], t1[cut], t2[cut])
         u1, u2, _, _, ok_back = reflection.zero_return_crossings_batch(
             images, args.t, args.c, args.beta)
-        backs = reflection.reflect_inverse_batch(images, u1, u2)
-        # entries of rows that are not ok are unspecified; those rows are redrawn
-        ok &= ok_back
-        records += _reflect_records(args, rows[ok], np.array(xs)[ok].tolist(), images[ok],
-                                    backs[ok], h[ok].tolist(), l[ok].tolist())
-    status = _emit_records(records, args.output)
-    if len(records) < args.count:
-        print(f"note: emitted {len(records)} of {args.count} requested paths "
-              f"after {attempts} attempts", file=sys.stderr)
+        admit = np.flatnonzero(ok_back)[:count - taken]
+        if explicit and not len(admit):
+            # the kernel's l is 1 where no down-crossing follows an up-crossing
+            raise reflection.ReflectionDomainError(
+                f"path ends at x={xs[0]}, outside (2*beta - c*t, beta]" if not window[0] else
+                "path has no up-crossing of beta followed by a down-crossing" if l[0] == 1 else
+                "a cut point lies within DEGENERATE_REL_TOL * t of a switch time or of the level")
+        keep, images = cut[admit], images[admit]
+        kept.append((rows[keep], xs[keep], images,
+                     reflection.reflect_inverse_batch(images, u1[admit], u2[admit]),
+                     h[keep], l[keep]))
+        taken += len(admit)
+        if taken == count:
+            break
+    rows, xs, images, backs, h, l = map(np.concatenate, zip(*kept))
+    residuals = np.abs(backs - rows).max(axis=1, initial=0.0)
+    _emit(_reflect_records(args, rows, xs, images, residuals, h, l), args.output)
+    # the codomain: every image ends at 2*beta - x
+    ends = position_batch(VelocitySign.MINUS, images, args.t, args.c)
+    misses = {f"have a round-trip residual above {RESIDUAL_TOL:g}": residuals > RESIDUAL_TOL,
+              f"have an image ending farther than {reflection.ENDPOINT_TOL:g} from 2*beta - x":
+              np.abs(ends - (2.0 * args.beta - xs)) > reflection.ENDPOINT_TOL}
+    for what, bad in misses.items():
+        if bad.any():
+            print(f"error: {bad.sum()} of {taken} records {what}", file=sys.stderr)
+    if taken < count:
+        print(f"note: emitted {taken} of {count} requested paths "
+              f"after {budget} attempts", file=sys.stderr)
         return 1
-    return status
+    return int(any(bad.any() for bad in misses.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +450,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, laws.OutOfScopeError) as exc:
+    except (ValueError, OverflowError, OSError, laws.OutOfScopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

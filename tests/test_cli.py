@@ -11,6 +11,8 @@ from telegraph import cli
 from telegraph import laws, reflection
 from telegraph.laws import Conditioning
 from telegraph.params import MotionParams, VelocitySign
+from telegraph.path import position_at
+from telegraph.sampler import RngStream, sample_conditional
 
 PLUS, MINUS = VelocitySign.PLUS, VelocitySign.MINUS
 EVAL_HEADER = ["law", "v0", "n", "t", "c", "lambda", "beta", "x", "s", "kind", "value", "at"]
@@ -321,6 +323,137 @@ class TestReflect:
         assert err
 
 
+# ---------------------------------------------------------------------------
+# reflect's batch pipeline against the scalar reflection API
+
+
+def _scalar_reflect(args):
+    """(exit code, stdout, stderr) of sampled ``reflect`` as the scalar
+    admission loop writes it: one ``sample_conditional`` draw at a time on
+    stream 77, admitted by ``position_at`` and ``in_P_plus`` until as many
+    paths as records are missing pass, then those reflected in one batch and
+    kept where both cuts are ok.  The oracle of the pipeline's records."""
+    params = MotionParams(args.c, args.lam)
+    ct = args.c * args.t
+    rng = RngStream(args.seed, 77).generator()
+    lines, attempts, max_attempts = [], 0, 10000 * args.count
+    while len(lines) < args.count and attempts < max_attempts:
+        rows, xs = [], []
+        while len(lines) + len(xs) < args.count and attempts < max_attempts:
+            attempts += 1
+            path = sample_conditional(args.n, args.t, PLUS, rng)
+            x = position_at(path, args.t, params)
+            if 2.0 * args.beta - ct < x <= args.beta and reflection.in_P_plus(
+                path, reflection.ReflectionContext(args.beta, x, params, args.t)
+            ):
+                rows.append(path.switch_times)
+                xs.append(x)
+        rows = np.array(rows).reshape(len(xs), args.n)
+        t1, t2, h, l, ok = reflection.crossings_batch(rows, args.t, args.c, args.beta)
+        images = reflection.reflect_batch(rows, t1, t2)
+        u1, u2, _, _, ok_back = reflection.zero_return_crossings_batch(
+            images, args.t, args.c, args.beta)
+        backs = reflection.reflect_inverse_batch(images, u1, u2)
+        ok &= ok_back
+        residuals = np.abs(backs - rows).max(axis=1, initial=0.0)
+        lines += cli._reflect_records(args, rows[ok], np.array(xs)[ok], images[ok],
+                                      residuals[ok], h[ok], l[ok])
+    out = "".join(line + "\n" for line in lines)
+    if len(lines) < args.count:
+        return 1, out, (f"note: emitted {len(lines)} of {args.count} requested paths "
+                        f"after {attempts} attempts\n")
+    return 0, out, ""
+
+
+#: Records per case where admission is rare at (n, beta): the oracle makes
+#: about 60 000 scalar draws a second, and 50 records take it about 250 000
+#: draws at (5, 0.95) and the whole budget of 500 000 at the others; at these
+#: counts the others still exhaust their budget and end short
+_RARE_COUNT = {(5, 0.95): 5, (8, 0.95): 2, (20, 0.7): 2, (20, 0.95): 2}
+
+
+@pytest.mark.parametrize("argv", [
+    *(f"--beta {beta} --n {n} --count {_RARE_COUNT.get((n, beta), 50)} --seed {seed}"
+      for n, beta, seed in itertools.product((1, 2, 3, 5, 8, 20), (0.05, 0.3, 0.7, 0.95),
+                                             (1, 2, 7))),
+    "--beta 0.3 --n 3 --count 500 --seed 5",
+    "--beta 0.4 --n 4 --count 30 --seed 3 --t 2 --c 0.7",
+    # short runs: the budget ends before every record is found
+    "--beta 0.9999 --n 2 --count 2 --seed 1",
+    "--beta 0.999 --n 2 --count 3 --seed 4",
+])
+def test_sampled_records_equal_scalar_admission(capsys, argv):
+    args = cli.build_parser().parse_args(["reflect", *argv.split()])
+    assert run_cli(capsys, "reflect", *argv.split()) == _scalar_reflect(args)
+
+
+def _admitted_paths(count, seed=11):
+    """``count`` random upward-start paths (1 to 8 switches, t = 2, c = 1.5)
+    that the scalar reflection API admits at beta = 0.6, with that API's
+    crossing pair, image and preimage."""
+    rng = np.random.default_rng(seed)
+    params = MotionParams(1.5, 1.0)
+    found = []
+    while len(found) < count:
+        path = sample_conditional(int(rng.integers(1, 9)), 2.0, PLUS, rng)
+        x = position_at(path, 2.0, params)
+        try:
+            ctx = reflection.ReflectionContext(0.6, x, params, 2.0)
+            pair = reflection.classify_crossings(path, ctx)
+        except ValueError:
+            continue
+        image = reflection.negative_reflect(path, ctx)
+        found.append((path, x, pair, image, reflection.negative_reflect_inverse(image, ctx)))
+    return found
+
+
+def test_explicit_record_equals_scalar_reflection(capsys):
+    for path, x, pair, image, back in _admitted_paths(50):
+        code, out, err = run_cli(capsys, "reflect", "--beta", "0.6", "--t", "2", "--c", "1.5",
+                                 "--switch-times", ",".join(map(repr, path.switch_times)))
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        assert rec["input"]["switches"] == list(path.switch_times)
+        assert rec["output"]["switches"] == list(image.switch_times)
+        assert rec["x"] == x
+        assert rec["pair"] == [pair.h, pair.l]
+        assert rec["image_pair"] == [pair.image().h, pair.image().l]
+        residual = max(abs(a - b) for a, b in zip(back.switch_times, path.switch_times))
+        assert rec["residual"] == residual
+
+
+@pytest.mark.parametrize("times,reason", [
+    ("3.5", "outside (2*beta - c*t, beta]"),
+    ("1,3", "no up-crossing of beta followed by a down-crossing"),
+    # the up-crossing at time 1 lies 1e-13 < DEGENERATE_REL_TOL * t before the first switch
+    ("1.0000000000001,3", "DEGENERATE_REL_TOL"),
+    ("3,1", "not strictly increasing"),
+])
+def test_refused_explicit_path_names_its_condition(capsys, times, reason):
+    code, out, err = run_cli(capsys, "reflect", "--beta", "1", "--t", "4", "--switch-times", times)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--beta", "0.3", "--n", "3", "--count", "4", "--seed", "5"),
+    ("--beta", "1", "--t", "4", "--switch-times", "1.5,3"),
+])
+def test_image_endpoint_miss_fails(capsys, monkeypatch, argv):
+    forward = reflection.reflect_batch
+
+    def late_first_switch(switches, t1, t2):
+        # the first (downward) piece of each image 1e-6 longer: it ends 2e-6 lower
+        images = forward(switches, t1, t2)
+        images[:, 0] += 1e-6
+        return images
+
+    monkeypatch.setattr(reflection, "reflect_batch", late_first_switch)
+    code, out, err = run_cli(capsys, "reflect", *argv)
+    assert code == 1
+    assert out and "image ending farther than 1e-09 from 2*beta - x" in err
+
+
 class TestKac:
     def test_passes_with_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "kac", "--format", "json")
@@ -374,6 +507,20 @@ def test_exit_code_without_traceback(capsys, argv, code):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "eval --law position --n 2 --x 0.2",
+    "simulate --functional position --n 2 --range=-1:1 --reps 100",
+    "verify --suite random-walk",
+    "reflect --beta 0.3 --count 2",
+    "kac",
+])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv.split(), "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +690,8 @@ def _check_eval_rows(capsys, law, component, v0, n):
 def _extra_variable_cases():
     """(law, component, v0, n, free, option): every entry at n = 3 and without
     n, with one option for a variable it does not take, as a point and as a
-    grid; the level of fpt is a point, so only its grid is extra."""
+    grid, or with a point of a free variable beside its grid; the level of fpt
+    is a point, so only its grid is extra."""
     for (law, component), n in itertools.product(sorted(laws.LAWS), (3, None)):
         for v0 in "+-":  # the first sign with a law: some components exist for one only
             direct = _direct(law, component, VelocitySign.from_str(v0), n)
@@ -552,9 +700,10 @@ def _extra_variable_cases():
         else:
             continue
         for var in GRIDS:
-            if var in direct[0]:
-                continue
-            for option in (f"--{var}=0.5", f"--{var}-grid=0:1:3"):
+            # a point beside the grid of a free variable is refused too
+            options = ((f"--{var}=0.5",) if var in direct[0]
+                       else (f"--{var}=0.5", f"--{var}-grid=0:1:3"))
+            for option in options:
                 if option != "--beta=0.5" or law != "fpt":
                     yield law, component, v0, n, direct[0], option
 
@@ -571,6 +720,10 @@ def test_eval_refuses_variables_the_law_does_not_take(capsys, law, component, v0
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and option.split("=")[0] in err
+        name = option[2:].split("=")[0]
+        if name in free:
+            assert f"--{name} or --{name}-grid, not both" in err
+            continue
         assert f"its free variables: {', '.join(free) or 'none'}" in err
         if law in ("fpt", "return") and n is None:
             assert "--t" in err  # a density in the horizon: its time is --t
