@@ -20,7 +20,7 @@ from .path import (
     running_max,
     running_min,
 )
-from .laws import Conditioning, LawValue, OutOfScopeError
+from .laws import OutOfScopeError
 from .reflection import (
     CrossingPair,
     DegeneratePathError,
@@ -53,8 +53,6 @@ __all__ = [
     "running_min",
     "first_passage",
     "first_return",
-    "Conditioning",
-    "LawValue",
     "OutOfScopeError",
     "ReflectionContext",
     "CrossingPair",

@@ -139,7 +139,7 @@ def cmd_eval(args) -> int:
     # one call on the whole grid, flattened in itertools.product order
     values = law.values(*np.meshgrid(*grids, indexing="ij")).ravel().tolist()
     # singular components reported as separate atom rows
-    atoms = [(*cells, atom.kind, atom.value, atom.at) for cells, atom in law.atoms]
+    atoms = [(*cells, "atom", mass, at) for cells, mass, at in law.atoms]
 
     if args.format == "json":
         base = {"v0": args.v0, "n": args.n, "law": args.law, "t": args.t, "c": args.c,

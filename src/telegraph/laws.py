@@ -23,6 +23,11 @@ Conventions
   unspecified rather than zero.
 * Unconditional laws are evaluated through the scaled primitive
   exp(-z) * I_r(z), so no intermediate exp overflow can occur.
+* The first passage is read off the maximum, as in the paper's last section:
+  the passage density at s = t given (v0, n), and the unconditional passage
+  density in t, equal c times the density of the line M(t) = T(t) at beta.
+  The unconditional law is computed that way; the conditional one has its own
+  sum, and the relation is one of its checks.
 
 The table ``LAWS`` holds every law a query can name.  ``resolve`` binds a
 query's fixed part once and returns the law as an array function of its free
@@ -45,33 +50,13 @@ class OutOfScopeError(ValueError):
     """Raised for queries the theory intentionally does not cover (s > t)."""
 
 
-@dataclass(frozen=True)
-class Conditioning:
-    """Initial velocity sign plus optional switch count (None = only V(0))."""
-
-    v0: VelocitySign
-    n: Optional[int] = None
-
-    def __post_init__(self):
-        if self.n is not None and self.n < 0:
-            raise ValueError(f"switch count must be >= 0, got {self.n}")
-
-
-@dataclass(frozen=True)
-class LawValue:
-    """A density value, an atom mass, or a CDF value."""
-
-    kind: str  # "density" | "atom" | "cdf"
-    value: float
-    at: str = ""
-
-    def __post_init__(self):
-        if self.kind not in ("density", "atom", "cdf"):
-            raise ValueError(f"bad kind {self.kind}")
-        if self.value < 0:
-            raise ValueError(f"negative law value {self.value} ({self.at})")
-        if self.kind in ("atom", "cdf") and self.value > 1 + 1e-12:
-            raise ValueError(f"{self.kind} value {self.value} exceeds 1 ({self.at})")
+def _check_range(kind: str, value: float, at: str) -> None:
+    """Refuse a law value out of range: a negative one, or an atom or cdf
+    above 1; ``at`` labels the value in the message."""
+    if value < 0:
+        raise ValueError(f"negative law value {value} ({at})")
+    if kind != "density" and value > 1 + 1e-12:
+        raise ValueError(f"{kind} value {value} exceeds 1 ({at})")
 
 
 def _arr(v):
@@ -156,16 +141,13 @@ def max_pdf(v0: VelocitySign, n: int, beta, t: float, c: float):
     return _on(inside, value / ct)
 
 
-def max_atom_zero(cond: Conditioning) -> LawValue:
+def max_atom_zero(v0: VelocitySign, n: int) -> float:
     """Mass of {M(t) = 0}; positive only for a negative start.  The value is
     C(2k, k)/4^k for n in {2k-1, 2k} and does not depend on t or c."""
-    n = _require_n(cond)
-    if cond.v0 is VelocitySign.PLUS:
-        return LawValue("atom", 0.0, at="M(t) = 0")
-    if n == 0:
-        return LawValue("atom", 1.0, at="M(t) = 0")
+    if v0 is VelocitySign.PLUS:
+        return 0.0
     k = (n + 1) // 2
-    return LawValue("atom", math.comb(2 * k, k) / 4**k, at="M(t) = 0")
+    return math.comb(2 * k, k) / 4**k
 
 
 def _max_cdf(v0: VelocitySign, n: int, b):
@@ -437,63 +419,32 @@ def fpt_pdf(v0: VelocitySign, n: int, beta, s, t: float, c: float):
     return _on(inside, sum(terms, 0.0 * b) / t)
 
 
-def fpt_atom(cond: Conditioning, beta: float, t: float, params: MotionParams) -> LawValue:
+def fpt_atom(v0: VelocitySign, n: int, beta: float, t: float, c: float) -> float:
     """Mass of {F_beta = beta/c}; zero for a negative start."""
-    n = _require_n(cond)
-    at = f"F_beta = {beta / params.c}"
-    if cond.v0 is VelocitySign.MINUS:
-        return LawValue("atom", 0.0, at=at)
-    ct = params.c * t
+    if v0 is VelocitySign.MINUS:
+        return 0.0
+    ct = c * t
     if not (0.0 < beta < ct):
-        return LawValue("atom", 0.0 if beta >= ct else 1.0, at=at)
-    return LawValue("atom", (1.0 - beta / ct) ** n, at=at)
+        return 0.0 if beta >= ct else 1.0
+    return (1.0 - beta / ct) ** n
 
 
 def fpt_pdf_unconditional(v0: VelocitySign, beta: float, t, params: MotionParams):
-    """Density in t of the first passage across beta > 0 given only V(0)."""
-    c, lam = params.c, params.lam
+    """Density in t of the first passage across beta > 0 given only V(0): c
+    times the density of the line M(t) = T(t) at beta."""
     _check_level(beta)
     t = _arr(t)
-    inside = t > beta / c
-    t = np.where(inside, t, 2 * beta / c)
-    ct, lam_t = c * t, lam * t
-    root = np.sqrt(ct * ct - beta * beta)
-    z = lam / c * root
-    if v0 is VelocitySign.PLUS:
-        return _on(inside, lam * beta / root * _e_bessel(1, z, lam_t))
-    return _on(inside, (
-        lam * beta * _e_bessel(0, z, lam_t)
-        + c * np.sqrt((ct - beta) / (ct + beta)) * _e_bessel(1, z, lam_t)
-    ) / (ct + beta))
+    inside = t > beta / params.c
+    t = np.where(inside, t, 2 * beta / params.c)  # any horizon past beta/c
+    return _on(inside, params.c * joint_atom_max_equals_position_pdf_unconditional(
+        v0, beta, t, params))
 
 
-def fpt_atom_unconditional(
-    v0: VelocitySign, beta: float, params: MotionParams
-) -> LawValue:
-    at = f"F_beta = {beta / params.c}"
+def fpt_atom_unconditional(v0: VelocitySign, beta: float, params: MotionParams) -> float:
+    """Mass of {F_beta = beta/c} given only V(0): no switch before beta/c."""
     if v0 is VelocitySign.MINUS:
-        return LawValue("atom", 0.0, at=at)
-    return LawValue("atom", math.exp(-params.lam * beta / params.c), at=at)
-
-
-def fpt_endpoint_pdf(v0: VelocitySign, n: int, beta, t: float, c: float):
-    """Closed form of the first-passage density at its endpoint s = t.
-
-    Positive start needs n = 2k even (k >= 1), negative start n = 2k+1 odd;
-    other parities have no mass at s = t.
-    """
-    ct = c * t
-    beta = _arr(beta)
-    k, odd = divmod(n, 2)
-    if n == 0 or (v0 is VelocitySign.PLUS) == bool(odd):
-        return _zero(beta)
-    inside = (0.0 < beta) & (beta < ct)
-    b = beta / ct * inside
-    if odd:
-        value = math.comb(n, k) / 2**n * _bump(b, k, k - 1) * (1 + n * b)
-    else:
-        value = math.comb(n, k) * k / 2 ** (n - 1) * _bump(b, k - 1, k - 1) * b
-    return _on(inside, value / t)
+        return 0.0
+    return math.exp(-params.lam * beta / params.c)
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +504,6 @@ def return_pdf_unconditional(t, params: MotionParams):
 # the law table and the query interface
 # ---------------------------------------------------------------------------
 
-def _require_n(cond: Conditioning) -> int:
-    if cond.n is None:
-        raise ValueError("this law requires a switch-count conditioning")
-    return cond.n
-
-
 def _overflow(law: str, n: Optional[int]) -> OverflowError:
     return OverflowError(f"law {law} at n = {n} overflows a float")
 
@@ -588,7 +533,7 @@ class _Law:
     ``cond`` and ``uncond`` bind a fixed part, with a switch count or with
     only V(0), into an array function of the free variables; None marks a
     case the law does not have.  ``atoms`` gives the singular rows reported
-    beside a grid, as ((beta, x, s), LawValue).  ``n0_at``, where set, labels
+    beside a grid, as ((beta, x, s), mass, label).  ``n0_at``, where set, labels
     the single atom of mass 1 that the law reduces to at n = 0.
     """
 
@@ -601,14 +546,6 @@ class _Law:
     n0_at: Optional[Callable[[_Fixed], str]] = None
 
 
-def _fpt_atoms(q: _Fixed) -> tuple:
-    if q.n is None:
-        atom = fpt_atom_unconditional(q.v0, q.beta, q.params)
-    else:
-        atom = fpt_atom(Conditioning(q.v0, q.n), q.beta, q.t, q.params)
-    return (((q.beta, None, q.beta / q.c), atom),)
-
-
 #: (law, joint component or None) -> entry
 LAWS = {
     ("position", None): _Law(
@@ -619,7 +556,7 @@ LAWS = {
     ("max", None): _Law(
         ("beta",), "M(t) = {beta}",
         cond=lambda q: lambda beta: max_pdf(q.v0, q.n, beta, q.t, q.c),
-        atoms=lambda q: (((0.0, None, None), max_atom_zero(Conditioning(q.v0, q.n))),),
+        atoms=lambda q: (((0.0, None, None), max_atom_zero(q.v0, q.n), "M(t) = 0"),),
         n0_at=lambda q: f"M(t) = {q.c * q.t if q.sign > 0 else 0}",
     ),
     ("max_cdf", None): _Law(
@@ -664,7 +601,9 @@ LAWS = {
         ("s",), "F_beta = {s}",
         cond=lambda q: lambda s: fpt_pdf(q.v0, q.n, q.beta, s, q.t, q.c),
         uncond=lambda q: lambda: fpt_pdf_unconditional(q.v0, q.beta, q.t, q.params),
-        atoms=_fpt_atoms,
+        atoms=lambda q: (((q.beta, None, q.beta / q.c), (
+            fpt_atom_unconditional(q.v0, q.beta, q.params) if q.n is None
+            else fpt_atom(q.v0, q.n, q.beta, q.t, q.c)), f"F_beta = {q.beta / q.c}"),),
     ),
     ("return", None): _Law(
         ("s",), "F_0 = {s}",
@@ -684,7 +623,7 @@ class Resolved:
 
     ``pdf`` is an array function of the free variables ``free``.  ``at``
     labels a value, field i taking free variable i.  ``atoms`` are the
-    singular rows reported beside a grid, as ((beta, x, s), LawValue).
+    singular rows reported beside a grid, as ((beta, x, s), mass, label).
     """
 
     law: str
@@ -696,8 +635,8 @@ class Resolved:
     atoms: tuple
 
     def values(self, *arrays) -> np.ndarray:
-        """The law on the broadcast free-variable arrays, range-checked as a
-        LawValue is; an error names the first point that fails."""
+        """The law on the broadcast free-variable arrays, range-checked; an
+        error names the first point that fails."""
         arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
         for var, a in zip(self.free, arrays):
             if not np.isfinite(a).all():
@@ -714,7 +653,7 @@ class Resolved:
         if bad.any():
             i = np.flatnonzero(bad)[0]
             point = [a.flat[i] for a in arrays]
-            LawValue(self.kind, values.flat[i], self.at.format(*point))  # raises the range error
+            _check_range(self.kind, values.flat[i], self.at.format(*point))
         return values
 
 
@@ -744,9 +683,13 @@ def resolve(
         raise ValueError(f"time t must be finite and > 0, got {t}")
     if beta is not None and not math.isfinite(beta):
         raise ValueError(f"level beta must be finite, got {beta}")
-    cond = Conditioning(VelocitySign.from_str(v0), n)
-    q = _Fixed(cond.v0, n, float(t), MotionParams(float(c), float(lam)),
+    v0 = VelocitySign.from_str(v0)
+    if n is not None and n < 0:
+        raise ValueError(f"switch count must be >= 0, got {n}")
+    q = _Fixed(v0, n, float(t), MotionParams(float(c), float(lam)),
                None if beta is None else float(beta))
+    if law == "fpt":
+        _check_level(q.beta)
     bind = entry.cond if n is not None else entry.uncond
     if bind is None:
         if n is None:
@@ -766,5 +709,7 @@ def resolve(
         atoms = entry.atoms(q)
     except OverflowError:
         raise _overflow(law, n) from None
+    for _, mass, label in atoms:
+        _check_range("atom", mass, label)
     return Resolved(law, n, free, kind, at, pdf, atoms)
 

@@ -7,6 +7,7 @@ these times, never stored, so there is a single source of truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,12 +31,12 @@ class TelegraphPath:
 
 def validate(path: TelegraphPath) -> Optional[str]:
     """Return None if the path invariants hold, else a description of the
-    first violation."""
-    if not (path.horizon > 0):
-        return f"horizon must be > 0, got {path.horizon}"
+    first violation.  The comparisons are written so that NaN fails them."""
+    if not (0 < path.horizon < math.inf):
+        return f"horizon must be finite and > 0, got {path.horizon}"
     prev = 0.0
     for i, s in enumerate(path.switch_times):
-        if s <= prev:
+        if not s > prev:
             return (
                 f"switch_times not strictly increasing at index {i}"
                 if i > 0 and s <= path.switch_times[i - 1]

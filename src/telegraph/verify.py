@@ -187,9 +187,11 @@ def run_identity_suite(
         worst = max(worst, float(np.max(np.abs(fd - ref) / np.maximum(1.0, np.abs(ref)))))
     add("max-cdf-time-derivative", worst, 1e-5, "central difference, step 1e-5*t")
 
-    # first-passage density at the horizon: closed form, then max-density link
+    # first-passage density at the horizon: c times the density of the line
+    # M = T(t), then the max-density link
     add("fpt-at-horizon-closed-form", max([_gap(
-        laws.fpt_pdf(v0, n, levels, t, t, c), laws.fpt_endpoint_pdf(v0, n, levels, t, c)
+        laws.fpt_pdf(v0, n, levels, t, t, c),
+        c * laws.joint_atom_max_equals_position_pdf(v0, n, levels, t, c),
     ) for n, v0 in itertools.product(ns, signs)], default=0.0), 1e-12)
 
     # for an even count and upward start, that value is (beta/t) * max density
@@ -256,7 +258,7 @@ def normalization_suite(
             add(f"position-total-{v0.value}-n={n}", mass, 1.0)
 
             mass = _gauss(lambda b: laws.max_pdf(v0, n, b, t, c), (0.0, ct), m)
-            atom = laws.max_atom_zero(laws.Conditioning(v0, n)).value
+            atom = laws.max_atom_zero(v0, n)
             add(f"max-total-{v0.value}-n={n}", mass + atom, 1.0, f"atom at 0: {atom:g}")
 
             # at the levels M = b: wedge sections (a tensor rule), lines M = T
@@ -275,8 +277,7 @@ def normalization_suite(
 
             beta = 0.4 * ct
             mass = _gauss(lambda s: laws.fpt_pdf(v0, n, beta, s, t, c), (beta / c, t), m)
-            if v0 is VelocitySign.PLUS:
-                mass += (1.0 - beta / ct) ** n
+            mass += laws.fpt_atom(v0, n, beta, t, c)
             add(
                 f"fpt-vs-max-cdf-{v0.value}-n={n}",
                 mass,
@@ -386,7 +387,7 @@ def mc_cross_suite(reps: int = 200_000, seed: int = 0) -> List[CheckResult]:
         max_zero, at_top = reduce_vertices(
             events, VelocitySign.MINUS, SwitchRows(((n, reps),), draw), t, c)
         add(f"mc-max-zero-mass-n={n}", max_zero,
-            laws.max_atom_zero(laws.Conditioning(VelocitySign.MINUS, n)).value)
+            laws.max_atom_zero(VelocitySign.MINUS, n))
         # its density is a polynomial of degree n - 1 in the level, so n + 2
         # nodes integrate it exactly
         mass = _gauss(lambda b: laws.joint_atom_max_equals_position_pdf(v0, n, b, t, c),

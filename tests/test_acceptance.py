@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from telegraph import Conditioning, MotionParams, TelegraphPath, VelocitySign
+from telegraph import MotionParams, TelegraphPath, VelocitySign
 from telegraph import laws, reflection, sampler, verify
 
 PARAMS = MotionParams(c=1.0, lam=1.0)
@@ -107,7 +107,7 @@ class TestCriterion4CyclicMasses:
         )
         for k in range(1, 6):
             for n in (2 * k - 1, 2 * k):
-                got = laws.max_atom_zero(Conditioning(MINUS, n)).value
+                got = laws.max_atom_zero(MINUS, n)
                 assert got == self.ANALYTIC[k]
 
     @pytest.mark.parametrize("k", range(1, 6))
@@ -131,7 +131,7 @@ class TestCriterion4CyclicMasses:
         assert np.array_equal(outcomes[0], outcomes[2])
         for n in (1, 2, 3, 4):
             values = {
-                laws.max_atom_zero(Conditioning(MINUS, n)).value
+                laws.max_atom_zero(MINUS, n)
                 for _ in ((1.0, 1.0), (3.0, 0.2), (0.5, 10.0))
             }
             assert len(values) == 1
@@ -272,10 +272,12 @@ class TestCriterion8FptEndpointIdentity:
         t = c = 1.0
         beta = ratio * c * t
         got = laws.fpt_pdf(PLUS, n, beta, t, t, c)
-        assert abs(got - laws.fpt_endpoint_pdf(PLUS, n, beta, t, c)) <= 1e-12
+        line = c * laws.joint_atom_max_equals_position_pdf(PLUS, n, beta, t, c)
+        assert abs(got - line) <= 1e-12
         assert abs(got - beta / t * laws.max_pdf(PLUS, n, beta, t, c)) <= 1e-12
         got_minus = laws.fpt_pdf(MINUS, n, beta, t, t, c)
-        assert abs(got_minus - laws.fpt_endpoint_pdf(MINUS, n, beta, t, c)) <= 1e-12
+        line_minus = c * laws.joint_atom_max_equals_position_pdf(MINUS, n, beta, t, c)
+        assert abs(got_minus - line_minus) <= 1e-12
 
 
 class TestCriterion9KacLimit:

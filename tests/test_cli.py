@@ -9,7 +9,6 @@ import pytest
 
 from telegraph import cli
 from telegraph import laws, reflection
-from telegraph.laws import Conditioning
 from telegraph.params import MotionParams, VelocitySign
 from telegraph.path import position_at
 from telegraph.sampler import RngStream, sample_conditional
@@ -428,6 +427,9 @@ def test_explicit_record_equals_scalar_reflection(capsys):
     # the up-crossing at time 1 lies 1e-13 < DEGENERATE_REL_TOL * t before the first switch
     ("1.0000000000001,3", "DEGENERATE_REL_TOL"),
     ("3,1", "not strictly increasing"),
+    # the switch time itself is named, not the endpoint it leads to
+    ("nan,3", "switch time nan not in (0, horizon)"),
+    ("1.5,nan", "switch time nan not in (0, horizon)"),
 ])
 def test_refused_explicit_path_names_its_condition(capsys, times, reason):
     code, out, err = run_cli(capsys, "reflect", "--beta", "1", "--t", "4", "--switch-times", times)
@@ -479,6 +481,9 @@ class TestKac:
     ("kac --c-values 20 1e300", 2),
     # the unconditional passage laws are densities in the horizon: s is --t
     ("eval --law fpt --beta 0.5 --s 2", 2),
+    # the passage level is checked before the atom it carries
+    ("eval --law fpt --beta -0.5 --t 2", 2),
+    ("eval --law fpt --n 3 --beta -0.5 --s 0.5", 2),
     ("eval --law return --s-grid 0:1:3", 2),
     # one bin holding every sample has standard error 0 and no z-score
     ("simulate --functional position --n 8 --range=-1:1 --bins 1 --reps 100", 0),
@@ -563,10 +568,9 @@ def _direct(law, component, v0, n):
         atoms = []
         if law == "fpt":
             atom = laws.fpt_atom_unconditional(v0, LEVEL, params)
-            atoms = [(LEVEL, None, LEVEL / C, atom.kind, atom.value, atom.at)]
+            atoms = [(LEVEL, None, LEVEL / C, "atom", atom, f"F_beta = {LEVEL / C}")]
         return (*found, atoms)
 
-    cond = Conditioning(v0, n)
     if law == "position" and n == 0:
         return ("x",), lambda x: ("atom", 1.0, f"T(t) = {v0.value_sign * C * T}"), []
     if law == "max" and n == 0:
@@ -603,11 +607,10 @@ def _direct(law, component, v0, n):
             return None
     atoms = []
     if law == "max":
-        atom = laws.max_atom_zero(cond)
-        atoms = [(0.0, None, None, atom.kind, atom.value, atom.at)]
+        atoms = [(0.0, None, None, "atom", laws.max_atom_zero(v0, n), "M(t) = 0")]
     if law == "fpt":
-        atom = laws.fpt_atom(cond, LEVEL, T, MotionParams(C, LAM))
-        atoms = [(LEVEL, None, LEVEL / C, atom.kind, atom.value, atom.at)]
+        atom = laws.fpt_atom(v0, n, LEVEL, T, C)
+        atoms = [(LEVEL, None, LEVEL / C, "atom", atom, f"F_beta = {LEVEL / C}")]
     return (*found, atoms)
 
 
@@ -749,8 +752,8 @@ def _filled_csv(argv):
     lines = [",".join(EVAL_HEADER)]
     texts = itertools.product(*([repr(v) for v in grid] for grid in grids))
     lines += [row.format(*text, value) for text, value in zip(texts, map(repr, values))]
-    lines += [prefix + ",".join(map(cli._csv_cell, (*cells, atom.kind, atom.value, atom.at)))
-              for cells, atom in law.atoms]
+    lines += [prefix + ",".join(map(cli._csv_cell, (*cells, "atom", mass, at)))
+              for cells, mass, at in law.atoms]
     return "\n".join(lines) + "\n"
 
 
@@ -792,3 +795,29 @@ def test_range_error_at_last_point_writes_no_file(capsys, monkeypatch, tmp_path)
     assert (code, out) == (2, "")
     assert err.startswith("error: negative law value -1.0 (T(t) = 1.0)")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("mass,message", [
+    (1.5, "atom value 1.5 exceeds 1 (M(t) = 0)"),
+    (-0.1, "negative law value -0.1 (M(t) = 0)"),
+])
+def test_atom_out_of_range_writes_no_file(capsys, monkeypatch, tmp_path, mass, message):
+    monkeypatch.setattr(laws, "max_atom_zero", lambda v0, n: mass)
+    path = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "eval", "--law", "max", "--n", "3", "--beta", "0.5",
+                             "--output", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("query", [
+    "--beta -0.5 --t 2",
+    "--beta 0 --t 2",
+    "--n 3 --beta -0.5 --s 0.5",
+    "--n 3 --beta -0.5 --s-grid 0:1:0",  # no point, but still the level
+])
+def test_fpt_level_is_checked_before_its_atom(capsys, query):
+    argv = query.split()
+    level = float(argv[argv.index("--beta") + 1])
+    code, out, err = run_cli(capsys, "eval", "--law", "fpt", *argv)
+    assert (code, out, err) == (2, "", f"error: level must be > 0, got {level}\n")

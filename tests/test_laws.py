@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from telegraph import Conditioning, MotionParams, VelocitySign, quadrature
+from telegraph import MotionParams, VelocitySign, quadrature
 from telegraph import laws
 
 PARAMS = MotionParams(c=1.0, lam=1.0)
@@ -282,17 +282,17 @@ class TestMaxLaw:
         mass = quadrature(
             lambda b: laws.max_pdf(v0, n, b, 1.0, 1.0), 0.0, 1.0, abs_tol=1e-11
         )
-        atom = laws.max_atom_zero(Conditioning(v0, n)).value
+        atom = laws.max_atom_zero(v0, n)
         assert mass + atom == pytest.approx(1.0, abs=1e-9)
 
     def test_never_crossing_atom_is_cyclic(self):
         # P{M = 0} for a downward start depends only on ceil(n/2)
-        values = [laws.max_atom_zero(Conditioning(MINUS, n)).value for n in range(1, 7)]
+        values = [laws.max_atom_zero(MINUS, n) for n in range(1, 7)]
         assert values == pytest.approx([0.5, 0.5, 0.375, 0.375, 0.3125, 0.3125])
 
     def test_upward_start_has_no_zero_atom(self):
         for n in range(1, 5):
-            assert laws.max_atom_zero(Conditioning(PLUS, n)).value == 0.0
+            assert laws.max_atom_zero(PLUS, n) == 0.0
 
     @pytest.mark.parametrize("v0,n", [(PLUS, 2), (MINUS, 3)])
     def test_cdf_matches_integrated_density(self, v0, n):
@@ -300,7 +300,7 @@ class TestMaxLaw:
         mass = quadrature(
             lambda b: laws.max_pdf(v0, n, b, 1.0, 1.0), 0.0, beta, abs_tol=1e-11
         )
-        atom = laws.max_atom_zero(Conditioning(v0, n)).value
+        atom = laws.max_atom_zero(v0, n)
         assert laws.max_cdf_value(v0, n, beta, 1.0, 1.0) == pytest.approx(
             atom + mass, abs=1e-9
         )
@@ -380,7 +380,7 @@ class TestJointLaw:
                 abs_tol=1e-11,
             )
             assert mass == pytest.approx(
-                laws.max_atom_zero(Conditioning(MINUS, n)).value, abs=1e-9
+                laws.max_atom_zero(MINUS, n), abs=1e-9
             )
 
     def test_single_switch_diagonal_density(self):
@@ -426,9 +426,9 @@ class TestFptLaw:
     def test_atom_at_direct_flight(self):
         # upward start reaches beta at time beta/c iff no switch happens before
         for n in (1, 2, 3):
-            atom = laws.fpt_atom(Conditioning(PLUS, n), 0.4, 1.0, PARAMS)
-            assert atom.value == pytest.approx((1.0 - 0.4) ** n)
-        assert laws.fpt_atom(Conditioning(MINUS, 2), 0.4, 1.0, PARAMS).value == 0.0
+            atom = laws.fpt_atom(PLUS, n, 0.4, 1.0, PARAMS.c)
+            assert atom == pytest.approx((1.0 - 0.4) ** n)
+        assert laws.fpt_atom(MINUS, 2, 0.4, 1.0, PARAMS.c) == 0.0
 
     @pytest.mark.parametrize("v0,n", [(PLUS, 2), (PLUS, 3), (MINUS, 2), (MINUS, 4)])
     def test_total_mass_matches_max_law(self, v0, n):
@@ -436,7 +436,7 @@ class TestFptLaw:
         mass = quadrature(
             lambda s: laws.fpt_pdf(v0, n, beta, s, t, c), beta / c, t, abs_tol=1e-11
         )
-        mass += laws.fpt_atom(Conditioning(v0, n), beta, t, PARAMS).value
+        mass += laws.fpt_atom(v0, n, beta, t, PARAMS.c)
         assert mass == pytest.approx(
             1.0 - laws.max_cdf_value(v0, n, beta, t, c), abs=1e-9
         )
@@ -446,21 +446,36 @@ class TestFptLaw:
         assert laws.fpt_pdf(MINUS, 3, 0.5, 0.49, 1.0, 1.0) == 0.0
 
     def test_endpoint_value_matches_closed_form(self):
-        for v0 in (PLUS, MINUS):
-            for n in (2, 4):
-                got = laws.fpt_pdf(v0, n, 0.5, 1.0, 1.0, 1.0)
-                assert got == pytest.approx(
-                    laws.fpt_endpoint_pdf(v0, n, 0.5, 1.0, 1.0), abs=1e-14
-                )
+        # at s = t the passage density is c times the density of the line M = T
+        for v0, n, c in itertools.product((PLUS, MINUS), (2, 4), (1.0, 0.7)):
+            got = laws.fpt_pdf(v0, n, 0.5, 1.0, 1.0, c)
+            assert got == pytest.approx(
+                c * laws.joint_atom_max_equals_position_pdf(v0, n, 0.5, 1.0, c), abs=1e-14
+            )
 
     def test_unconditional_density_frozen_value(self):
         # high-precision series value for c = lam = 1, beta = 0.5, t = 1
         got = laws.fpt_pdf_unconditional(PLUS, 0.5, 1.0, PARAMS)
         assert got == pytest.approx(0.10086572740845744, abs=1e-13)
 
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    def test_unconditional_density_support(self, v0):
+        # 0 up to and at the direct-flight time beta/c, finite just after it,
+        # with no floating-point warning on the way
+        params, beta = MotionParams(0.7, 2.5), 0.4
+        edge = beta / params.c
+        t = np.array([-1.0, 0.0, edge, edge + 1e-5])
+        with np.errstate(all="raise"):
+            got = laws.fpt_pdf_unconditional(v0, beta, t, params)
+        assert got[:3].tolist() == [0.0, 0.0, 0.0] and not np.signbit(got[:3]).any()
+        assert np.isfinite(got[3]) and got[3] > 0
+        for level in (0.0, -0.5):
+            with pytest.raises(ValueError, match="level must be > 0"):
+                laws.fpt_pdf_unconditional(v0, level, t, params)
+
     def test_unconditional_atom_is_exponential(self):
         atom = laws.fpt_atom_unconditional(PLUS, 0.5, PARAMS)
-        assert atom.value == pytest.approx(math.exp(-0.5))
+        assert atom == pytest.approx(math.exp(-0.5))
 
 
 class TestReturnLaw:

@@ -93,6 +93,20 @@ def test_validate_rejects_bad_switch_times():
         TelegraphPath(VelocitySign.PLUS, -1.0, ())
 
 
+@pytest.mark.parametrize("horizon,times,message", [
+    (1.0, (math.nan, 0.5), "switch time nan not in (0, horizon)"),
+    (1.0, (0.2, math.nan), "switch time nan not in (0, horizon)"),
+    (1.0, (0.2, math.inf), "switch at or beyond horizon: inf >= 1.0"),
+    (math.inf, (0.5,), "horizon must be finite and > 0, got inf"),
+    (math.nan, (), "horizon must be finite and > 0, got nan"),
+])
+def test_validate_rejects_non_finite_times(horizon, times, message):
+    # every comparison with NaN is false, so each check must fail on it
+    with pytest.raises(ValueError) as err:
+        TelegraphPath(VelocitySign.PLUS, horizon, times)
+    assert str(err.value) == message
+
+
 def test_position_respects_speed():
     fast = MotionParams(c=2.5, lam=1.0)
     path = TelegraphPath(v0=VelocitySign.PLUS, horizon=2.0, switch_times=(1.0,))

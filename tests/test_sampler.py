@@ -563,7 +563,7 @@ class TestMcProbability:
 
     def test_never_crossing_probability_matches_atom(self):
         event = lambda path, params: running_max(path, params) <= 0.0
-        expected = laws.max_atom_zero(laws.Conditioning(MINUS, 3)).value
+        expected = laws.max_atom_zero(MINUS, 3)
         rep = sampler.mc_probability(
             event, PARAMS, 1.0, 20000, v0=MINUS, n=3, seed=1, analytic=expected
         )

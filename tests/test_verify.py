@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from telegraph import Conditioning, MotionParams, RngStream, TelegraphPath, VelocitySign
+from telegraph import MotionParams, RngStream, TelegraphPath, VelocitySign
 from telegraph import laws, sampler, verify
 from telegraph.path import running_max, running_min
 from telegraph.verify import CheckResult, QuadratureError, quadrature
@@ -89,7 +89,7 @@ class TestNormalizationSuite:
                 )
                 want[f"max-total-{v0.value}-n={n}"] = quadrature(
                     lambda b: laws.max_pdf(v0, n, b, t, c), 0.0, ct, 1e-12
-                ) + laws.max_atom_zero(Conditioning(v0, n)).value
+                ) + laws.max_atom_zero(v0, n)
 
                 def inner(b):
                     if not 2.0 * b - ct < b:
@@ -113,7 +113,7 @@ class TestNormalizationSuite:
                 beta = 0.4 * ct
                 want[f"fpt-vs-max-cdf-{v0.value}-n={n}"] = quadrature(
                     lambda s: laws.fpt_pdf(v0, n, beta, s, t, c), beta / c, t, 1e-12
-                ) + laws.fpt_atom(Conditioning(v0, n), beta, t, MotionParams(c, 1.0)).value
+                ) + laws.fpt_atom(v0, n, beta, t, c)
         got = {r.name: r.observed for r in verify.normalization_suite(n_max=8)}
         assert got.keys() == want.keys()
         worst = max(abs(got[k] - want[k]) for k in want)
