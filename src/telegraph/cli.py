@@ -242,19 +242,18 @@ _SUITES = {
 }
 
 
+def _report(results, args) -> int:
+    """Write check results as JSON or a text table; 1 if a check failed."""
+    to_text = verify_mod.results_to_json if args.format == "json" else verify_mod.results_to_table
+    _emit([to_text(results)], args.output)
+    # entries flagged as known discrepancies are documentation, not failures
+    return int(any(not r.passed and "known-discrepancy" not in r.detail for r in results))
+
+
 def cmd_verify(args) -> int:
     seed = _default_seed(args.seed)
     wanted = _SUITES if args.suite == "all" else (args.suite,)
-    results = [result for suite in wanted for result in _SUITES[suite](seed)]
-    if args.format == "json":
-        _emit([verify_mod.results_to_json(results)], args.output)
-    else:
-        _emit([verify_mod.results_to_table(results)], args.output)
-    # entries flagged as known discrepancies are documentation, not failures
-    failed = [
-        r for r in results if not r.passed and "known-discrepancy" not in r.detail
-    ]
-    return 1 if failed else 0
+    return _report([result for suite in wanted for result in _SUITES[suite](seed)], args)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +354,7 @@ def cmd_reflect(args) -> int:
 
 
 def cmd_kac(args) -> int:
-    results = verify_mod.kac_limit_check(
-        beta=args.beta, t_values=args.t, c_values=args.c_values
-    )
-    if args.format == "json":
-        _emit([verify_mod.results_to_json(results)], args.output)
-    else:
-        _emit([verify_mod.results_to_table(results)], args.output)
-    return 0 if all(r.passed for r in results) else 1
+    return _report(verify_mod.kac_limit_check(args.beta, args.t, args.c_values), args)
 
 
 # ---------------------------------------------------------------------------

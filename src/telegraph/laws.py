@@ -435,6 +435,9 @@ def fpt_pdf_unconditional(v0: VelocitySign, beta: float, t, params: MotionParams
     _check_level(beta)
     t = _arr(t)
     inside = t > beta / params.c
+    if not np.any(inside):
+        # 0 without the arithmetic below, which overflows at a level past about 1e154
+        return _zero(t)
     t = np.where(inside, t, 2 * beta / params.c)  # any horizon past beta/c
     return _on(inside, params.c * joint_atom_max_equals_position_pdf_unconditional(
         v0, beta, t, params))
@@ -505,7 +508,8 @@ def return_pdf_unconditional(t, params: MotionParams):
 # ---------------------------------------------------------------------------
 
 def _overflow(law: str, n: Optional[int]) -> OverflowError:
-    return OverflowError(f"law {law} at n = {n} overflows a float")
+    where = "given only V(0)" if n is None else f"at n = {n}"
+    return OverflowError(f"law {law} {where} overflows a float")
 
 
 @dataclass

@@ -19,11 +19,8 @@ class VelocitySign(enum.Enum):
 
     @classmethod
     def from_str(cls, s: str) -> "VelocitySign":
-        if s in ("+", "plus", "Plus", "PLUS"):
-            return cls.PLUS
-        if s in ("-", "minus", "Minus", "MINUS"):
-            return cls.MINUS
-        raise ValueError(f"not a velocity sign: {s!r}")
+        """The sign spelled "+" or "-", or a sign itself; anything else is a ``ValueError``."""
+        return cls(s)
 
 
 @dataclass(frozen=True)

@@ -505,8 +505,8 @@ def mc_probability(
     """
     _check_horizon(t)
     _check_counts(n, params, t)
-    uniform = v0 == "uniform" or v0 is None
-    if not (uniform or isinstance(v0, VelocitySign)):
+    uniform = v0 == "uniform"
+    if not uniform:
         v0 = VelocitySign.from_str(v0)
 
     def work(count: int, rng: np.random.Generator) -> int:

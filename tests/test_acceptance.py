@@ -28,7 +28,7 @@ def interior_grid(lo, hi, k):
 class TestCriterion1Normalization:
     def test_all_laws_normalize_within_budget(self):
         start = time.perf_counter()
-        results = verify.normalization_suite(n_max=8, abs_tol=1e-9)
+        results = verify.normalization_suite(n_max=8)
         elapsed = time.perf_counter() - start
         failed = [r.name for r in results if not r.passed]
         assert failed == []
@@ -284,7 +284,7 @@ class TestCriterion9KacLimit:
     def test_brownian_limit_within_budget(self):
         start = time.perf_counter()
         results = verify.kac_limit_check(
-            beta=1.0, t_values=(0.5, 1.0, 2.0), c_values=(20.0, 50.0), rel_tol=0.05
+            beta=1.0, t_values=(0.5, 1.0, 2.0), c_values=(20.0, 50.0)
         )
         elapsed = time.perf_counter() - start
         assert results

@@ -109,6 +109,11 @@ class TestEval:
         assert "law fpt at n = 1100 overflows a float" in err
         assert "Traceback" not in err
 
+    def test_unconditional_overflow_names_no_switch_count(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "--law", "fpt", "--beta", "0.5", "--t", "1e300")
+        assert code == 2
+        assert err == "error: law fpt given only V(0) overflows a float\n"
+
     def test_conditional_max_equals_position_component(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--law", "joint", "--v0", "-", "--n", "3",
@@ -479,11 +484,22 @@ class TestKac:
     ("kac --c-values 5 5", 2),
     ("kac --c-values 1e300", 2),
     ("kac --c-values 20 1e300", 2),
+    # kac: the Brownian density and lambda = c^2 must be positive finite floats
+    ("kac --t 1e-300", 2),
+    ("kac --t 6e-4", 2),
+    ("kac --t 1e103", 2),
+    ("kac --beta 1e300", 2),
+    ("kac --c-values 1e200 1e201", 2),
+    # t < beta/c = 0.02: the telegraph density is 0, a real failure
+    ("kac --t 1e-3", 1),
     # the unconditional passage laws are densities in the horizon: s is --t
     ("eval --law fpt --beta 0.5 --s 2", 2),
     # the passage level is checked before the atom it carries
     ("eval --law fpt --beta -0.5 --t 2", 2),
     ("eval --law fpt --n 3 --beta -0.5 --s 0.5", 2),
+    # before the direct-flight time beta/c the density is 0, at a level whose square overflows
+    ("eval --law fpt --beta 1e160 --t 1", 0),
+    ("eval --law fpt --v0 - --beta 1e160 --t 1", 0),
     ("eval --law return --s-grid 0:1:3", 2),
     # one bin holding every sample has standard error 0 and no z-score
     ("simulate --functional position --n 8 --range=-1:1 --bins 1 --reps 100", 0),

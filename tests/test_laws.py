@@ -465,9 +465,12 @@ class TestFptLaw:
         params, beta = MotionParams(0.7, 2.5), 0.4
         edge = beta / params.c
         t = np.array([-1.0, 0.0, edge, edge + 1e-5])
+        huge = 1e160  # its square overflows a float
         with np.errstate(all="raise"):
             got = laws.fpt_pdf_unconditional(v0, beta, t, params)
+            far = laws.fpt_pdf_unconditional(v0, huge, [-1.0, 0.0, 1.0, huge / params.c], params)
         assert got[:3].tolist() == [0.0, 0.0, 0.0] and not np.signbit(got[:3]).any()
+        assert far.tolist() == [0.0] * 4 and not np.signbit(far).any()
         assert np.isfinite(got[3]) and got[3] > 0
         for level in (0.0, -0.5):
             with pytest.raises(ValueError, match="level must be > 0"):
