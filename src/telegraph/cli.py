@@ -31,8 +31,8 @@ from .params import MotionParams, VelocitySign
 from .path import TelegraphPath, position_at
 from .reflection import (CrossingPair, classify_crossings, in_P_plus, negative_reflect,
                          negative_reflect_inverse)
-from .sampler import (_BLOCK_VERTICES, RngStream, mc_density_histogram, position_batch,
-                      sample_conditional, sample_switches_batch)
+from .sampler import (_BLOCK_VERTICES, RngStream, _check_counts, mc_density_histogram,
+                      position_batch, sample_conditional, sample_switches_batch)
 from . import verify as verify_mod
 
 __all__ = ["main", "build_parser"]
@@ -187,7 +187,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    v0 = VelocitySign.from_str(args.v0)
+    v0 = VelocitySign(args.v0)
     params = MotionParams(args.c, getattr(args, "lam"))
     if args.functional == "fpt" and args.beta is None:
         print("simulate --functional fpt needs --beta", file=sys.stderr)
@@ -283,7 +283,7 @@ def _reflect_records(args, switches, xs, images, residuals, h, l) -> List[str]:
 
 
 def cmd_reflect(args) -> int:
-    MotionParams(args.c, args.lam)  # checks c and lambda
+    params = MotionParams(args.c, args.lam)  # checks c and lambda
     ct = args.c * args.t
     # at a lower level the first up-crossing, at time beta/c, is a degenerate cut on every path
     low = reflection.DEGENERATE_REL_TOL * ct
@@ -298,6 +298,7 @@ def cmd_reflect(args) -> int:
     elif args.n < 1:
         raise ValueError("reflect needs --n >= 1: a path without a switch ends above beta")
     else:
+        _check_counts(args.n, params, args.t)
         count, budget = args.count, 10000 * args.count
         rng = RngStream(_default_seed(args.seed), 77).generator()
         # a round is one vertex block of draws, the bits of one rng.uniform(0, t, n) per row

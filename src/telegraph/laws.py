@@ -687,7 +687,7 @@ def resolve(
         raise ValueError(f"time t must be finite and > 0, got {t}")
     if beta is not None and not math.isfinite(beta):
         raise ValueError(f"level beta must be finite, got {beta}")
-    v0 = VelocitySign.from_str(v0)
+    v0 = VelocitySign(v0)
     if n is not None and n < 0:
         raise ValueError(f"switch count must be >= 0, got {n}")
     q = _Fixed(v0, n, float(t), MotionParams(float(c), float(lam)),

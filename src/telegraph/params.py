@@ -17,11 +17,6 @@ class VelocitySign(enum.Enum):
     def value_sign(self) -> int:
         return 1 if self is VelocitySign.PLUS else -1
 
-    @classmethod
-    def from_str(cls, s: str) -> "VelocitySign":
-        """The sign spelled "+" or "-", or a sign itself; anything else is a ``ValueError``."""
-        return cls(s)
-
 
 @dataclass(frozen=True)
 class MotionParams:

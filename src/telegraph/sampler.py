@@ -507,7 +507,7 @@ def mc_probability(
     _check_counts(n, params, t)
     uniform = v0 == "uniform"
     if not uniform:
-        v0 = VelocitySign.from_str(v0)
+        v0 = VelocitySign(v0)
 
     def work(count: int, rng: np.random.Generator) -> int:
         if uniform:

@@ -5,8 +5,8 @@ up to rounding on each law's polynomial pieces, which also give the Monte
 Carlo expected masses; a hand-written adaptive Simpson integrator for the
 tests; pointwise identities
 between the implemented laws; a diffusion-limit comparison of the first-passage
-law against the Brownian one; and an exhaustive random-walk enumeration that
-replays the reflection argument with exact integer counts.
+law against the Brownian one; and exact random-walk counts, by a dynamic
+program over the steps, that replay the reflection argument.
 """
 
 import itertools
@@ -51,9 +51,11 @@ class CheckResult:
     detail: str = ""
 
     def __post_init__(self):
-        # a NaN observation fails, whatever the comparison that made ``passed``
-        if math.isnan(self.observed):
-            object.__setattr__(self, "passed", False)
+        # plain Python values, and a NaN observation fails, whatever the
+        # comparison that made ``passed``
+        for name in ("observed", "expected", "tolerance"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "passed", bool(self.passed) and not math.isnan(self.observed))
 
 
 def _check(name, observed, expected, tol, detail="") -> CheckResult:
@@ -442,17 +444,25 @@ def kac_limit_check(
 # Discrete enumeration
 
 
-def _walks(n: int, first_step: int) -> np.ndarray:
-    """All 2**(n-1) simple-walk paths of n steps with the first step fixed.
+def _walk_counts(n_max: int):
+    """Exact counts of the simple-walk paths of each length n = 1..n_max.
 
-    Returns the (2**(n-1), n+1) array of partial sums, starting at 0.
+    A dynamic program over the steps.  For each n it yields (n, up, down):
+    up[x + n, m] counts the n-step walks with first step +1 that end at x
+    with maximum m, and down[x + n] the walks with first step -1 that end at
+    x.  The counts are Python integers, because they pass int64 at n = 64.
     """
-    m = 1 << (n - 1)
-    tail = ((np.arange(m)[:, None] >> np.arange(n - 1)) & 1) * 2 - 1
-    steps = np.concatenate([np.full((m, 1), first_step), tail], axis=1)
-    walks = np.zeros((m, n + 1), dtype=np.int64)
-    np.cumsum(steps, axis=1, out=walks[:, 1:])
-    return walks
+    zero = n_max + 1  # the row of endpoint 0, with one spare row past each end
+    up = np.zeros((2 * zero + 1, zero + 1), dtype=object)
+    down = np.zeros(2 * zero + 1, dtype=object)
+    up[zero + 1, 1] = down[zero - 1] = 1
+    top = np.eye(2 * zero + 1, zero + 1, -zero, dtype=bool)  # the cells x = m
+    for n in range(1, n_max + 1):
+        yield n, up[zero - n:zero + n + 1, :n + 1], down[zero - n:zero + n + 1]
+        # every step keeps the maximum, except a step up from the maximum itself
+        high = np.where(top, up, 0)
+        up = np.roll(up - high, 1, 0) + np.roll(high, (1, 1), (0, 1)) + np.roll(up, -1, 0)
+        down = np.roll(down, 1) + np.roll(down, -1)
 
 
 def random_walk_enumeration(n_max: int = 14) -> List[CheckResult]:
@@ -462,32 +472,23 @@ def random_walk_enumeration(n_max: int = 14) -> List[CheckResult]:
     number of walks with first step +1 that exceed beta and end at x must
     exactly equal the number of walks with first step -1 that end at
     2*beta - x.  Counts are exact integers over all 2**(n-1) walks per
-    starting step, tabulated once per n by (endpoint, maximum), so each
-    (beta, x) case only reads the table.
+    starting step, tabulated by (endpoint, maximum) by ``_walk_counts``, so
+    each (beta, x) case only reads the table.
     """
-    if n_max > 20:
-        raise ValueError("n_max > 20 would enumerate more than 2**19 walks")
     results: List[CheckResult] = []
-    for n in range(2, n_max + 1):
-        up = _walks(n, 1)
+    # a walk of one step has no level below its maximum to check
+    for n, up, down in itertools.islice(_walk_counts(n_max), 1, None):
         # exceed[x + n, beta] counts the walks from +1 that end at x with maximum > beta
-        table = np.bincount((up[:, -1] + n) * (n + 1) + up.max(axis=1),
-                            minlength=(2 * n + 1) * (n + 1)).reshape(2 * n + 1, n + 1)
-        exceed = table[:, :0:-1].cumsum(axis=1)[:, ::-1]
-        ends = np.bincount(_walks(n, -1)[:, -1] + n, minlength=2 * n + 1)
-        worst = 0
-        cases = 0
-        detail = ""
-        for beta in range(0, n - 1):
-            for x in range(2 * (beta + 1) - n, beta + 1):
-                a = int(exceed[x + n, beta])
-                b = int(ends[2 * beta - x + n])
-                cases += 1
-                if abs(a - b) > worst:
-                    worst = abs(a - b)
-                    detail = f"beta={beta}, x={x}: {a} vs {b}"
-        results.append(_check(f"random-walk-counts-n={n}", float(worst), 0.0, 0.0,
-                              detail or f"{cases} (beta, x) cases, all counts equal"))
+        exceed = up[:, :0:-1].cumsum(axis=1)[:, ::-1]
+        beta, x = np.mgrid[:n - 1, -n:n + 1]
+        case = (2 * (beta + 1) - n <= x) & (x <= beta)
+        beta, x = beta[case], x[case]
+        a, b = exceed[x + n, beta], down[2 * beta - x + n]
+        gap = np.abs(a - b)
+        i = gap.argmax()  # the first case with the largest gap
+        detail = (f"beta={beta[i]}, x={x[i]}: {a[i]} vs {b[i]}" if gap[i]
+                  else f"{len(gap)} (beta, x) cases, all counts equal")
+        results.append(_check(f"random-walk-counts-n={n}", float(gap[i]), 0.0, 0.0, detail))
     return results
 
 
@@ -496,15 +497,7 @@ def random_walk_enumeration(n_max: int = 14) -> List[CheckResult]:
 
 
 def results_to_json(results: Iterable[CheckResult]) -> str:
-    rows = []
-    for r in results:
-        row = asdict(r)
-        row["passed"] = bool(row["passed"])
-        row["observed"] = float(row["observed"])
-        row["expected"] = float(row["expected"])
-        row["tolerance"] = float(row["tolerance"])
-        rows.append(row)
-    return json.dumps(rows, indent=2)
+    return json.dumps([asdict(r) for r in results], indent=2)
 
 
 def results_to_table(results: Iterable[CheckResult]) -> str:

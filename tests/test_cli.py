@@ -469,7 +469,9 @@ class TestKac:
         assert all(r["passed"] for r in rows)
 
 
-@pytest.mark.parametrize("argv,code", [
+#: (argv, exit code) rows that must exit without a traceback; tests/test_golden.py
+#: also pins their output
+EXIT_CODES = [
     # domain checks where a query enters: the horizon, the free variables, c and lambda
     ("eval --law position --n 5 --x 0 --t 0", 2),
     ("eval --law position --n 5 --x 0 --t -1", 2),
@@ -511,6 +513,8 @@ class TestKac:
     ("simulate --functional max --lambda 1e9 --range=0:1 --reps 2", 2),
     ("simulate --functional max --lambda 32769 --range=0:1 --reps 2", 2),
     ("simulate --functional max --n 65535 --range=0:1 --reps 2", 2),
+    ("reflect --beta 0.3 --n 65535 --count 1", 2),
+    ("reflect --beta 0.3 --n 70000 --count 1", 2),
     # sampled reflect checks its level and switch count before drawing
     ("reflect --beta 2 --count 20", 2),
     ("reflect --beta nan", 2),
@@ -521,7 +525,10 @@ class TestKac:
     # a level within DEGENERATE_REL_TOL * c*t of the start makes every cut degenerate
     ("reflect --beta 1e-13 --n 4 --count 5", 2),
     ("reflect --beta 2e-12 --c 2 --n 4 --count 5", 2),
-])
+]
+
+
+@pytest.mark.parametrize("argv,code", EXIT_CODES)
 def test_exit_code_without_traceback(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv.split())
     assert got == code, err
@@ -679,7 +686,7 @@ def _eval_argv(law, component, v0, n, free):
 
 
 def _check_eval_rows(capsys, law, component, v0, n):
-    direct = _direct(law, component, VelocitySign.from_str(v0), n)
+    direct = _direct(law, component, VelocitySign(v0), n)
     # a query with no law gives the table's free variables and is refused for the law itself
     free = laws.LAWS[(law, component)].free if direct is None else direct[0]
     argv = _eval_argv(law, component, v0, n, free)
@@ -713,7 +720,7 @@ def _extra_variable_cases():
     is a point, so only its grid is extra."""
     for (law, component), n in itertools.product(sorted(laws.LAWS), (3, None)):
         for v0 in "+-":  # the first sign with a law: some components exist for one only
-            direct = _direct(law, component, VelocitySign.from_str(v0), n)
+            direct = _direct(law, component, VelocitySign(v0), n)
             if direct is not None:
                 break
         else:

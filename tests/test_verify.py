@@ -1,6 +1,8 @@
 import json
 import math
+import time
 
+import numpy as np
 import pytest
 
 from telegraph import MotionParams, RngStream, TelegraphPath, VelocitySign
@@ -198,6 +200,59 @@ class TestSuites:
             assert lows.tolist() == [running_min(p, params) for p in paths]
 
 
+def _walks(n, first_step):
+    """All 2**(n-1) simple-walk paths of n steps with the first step fixed, as
+    the (2**(n-1), n+1) array of partial sums from 0: the brute-force oracle
+    of the walk counts."""
+    m = 1 << (n - 1)
+    tail = ((np.arange(m)[:, None] >> np.arange(n - 1)) & 1) * 2 - 1
+    steps = np.concatenate([np.full((m, 1), first_step), tail], axis=1)
+    walks = np.zeros((m, n + 1), dtype=np.int64)
+    np.cumsum(steps, axis=1, out=walks[:, 1:])
+    return walks
+
+
+class TestWalkCounts:
+    def test_dynamic_program_counts_every_walk(self):
+        lengths = []
+        for n, up, down in verify._walk_counts(12):
+            walks = _walks(n, 1)
+            table = np.bincount((walks[:, -1] + n) * (n + 1) + walks.max(axis=1),
+                                minlength=(2 * n + 1) * (n + 1)).reshape(2 * n + 1, n + 1)
+            assert up.tolist() == table.tolist()
+            assert down.tolist() == np.bincount(_walks(n, -1)[:, -1] + n,
+                                                minlength=2 * n + 1).tolist()
+            lengths.append(n)
+        assert lengths == list(range(1, 13))
+
+    def test_counts_are_exact_past_int64(self):
+        *_, (n, up, down) = verify._walk_counts(70)
+        assert sum(up.ravel()) == sum(down) == 2 ** (n - 1)
+        assert all(type(v) is int for v in [*up.ravel(), *down])
+
+    def test_suite_passes_to_n_100_within_a_second(self):
+        start = time.perf_counter()
+        results = verify.random_walk_enumeration(100)
+        elapsed = time.perf_counter() - start
+        assert [r.name for r in results] == [f"random-walk-counts-n={n}" for n in range(2, 101)]
+        assert all(r.passed for r in results)
+        assert elapsed < 1.0
+
+    def test_a_wrong_count_fails_at_its_first_largest_gap(self, monkeypatch):
+        walk_counts = verify._walk_counts
+
+        def one_more_down_walk_to_zero(n_max):
+            for n, up, down in walk_counts(n_max):
+                down = down.copy()
+                down[n] += 1
+                yield n, up, down
+
+        monkeypatch.setattr(verify, "_walk_counts", one_more_down_walk_to_zero)
+        results = verify.random_walk_enumeration(3)
+        assert [(r.passed, r.observed, r.detail) for r in results] == [
+            (False, 1.0, "beta=0, x=0: 1 vs 2"), (False, 1.0, "beta=0, x=0: 0 vs 1")]
+
+
 class TestReporting:
     RESULTS = [
         CheckResult("alpha", True, 1.0, 1.0, 1e-9, "ok"),
@@ -208,6 +263,11 @@ class TestReporting:
         rows = json.loads(verify.results_to_json(self.RESULTS))
         assert [row["name"] for row in rows] == ["alpha", "beta"]
         assert rows[1]["passed"] is False
+
+    def test_values_are_plain_python(self):
+        result = CheckResult("delta", np.bool_(True), np.float64(0.5), np.int64(1), 1)
+        assert [type(v) for v in (result.passed, result.observed, result.expected,
+                                  result.tolerance)] == [bool, float, float, float]
 
     def test_nan_observation_fails(self):
         assert not CheckResult("gamma", True, math.nan, 0.0, math.inf).passed
