@@ -192,17 +192,16 @@ def cmd_simulate(args) -> int:
     if args.functional == "fpt" and args.beta is None:
         print("simulate --functional fpt needs --beta", file=sys.stderr)
         return 2
-    analytic = None  # the conditional reference density, where the law has one
+    mass = None  # the conditional law's bin masses, where the law has a density
     if args.n is not None:
         law = laws.resolve(args.functional, args.v0, args.n, args.t, args.c, args.lam,
                            beta=args.beta)
         if law.kind == "density":
-            analytic = law.values
+            mass = law.mass
     seed = _default_seed(args.seed)
     bins = mc_density_histogram(
         args.functional, v0, args.n, params, args.t, args.bins, args.range,
-        args.reps, seed=seed, threads=args.threads, beta=args.beta,
-        analytic=analytic,
+        args.reps, seed=seed, threads=args.threads, beta=args.beta, mass=mass,
     )
     lines = ["bin_lo,bin_hi,estimate,std_error,analytic,z"]
     for b in bins:

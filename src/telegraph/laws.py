@@ -36,6 +36,7 @@ variables; ``telegraph eval`` goes through it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -283,9 +284,17 @@ def joint_cdf_in_max_pdf(v0: VelocitySign, n: int, beta, x, t: float, c: float):
 JOINT_COMPONENTS = ("density", "max_equals_position", "diagonal", "max_zero", "corner")
 
 
-def _e_bessel(r: int, z, lam_t: float):
-    # exp(-lam*t) * I_r(z) with z <= lam*t, evaluated without overflow
-    return np.exp(z - lam_t) * bessel_i_scaled(r, z)
+def _bessel_args(lam_t: float, u):
+    """s = sqrt(1 - u^2) at u = w/ct, the Bessel argument z = lam*t*s and the gap
+    lam*t - z = lam*t*u^2/(1 + s), which as a difference would be one ulp of lam*t
+    past lam*t of about 1e17, where the true gap is near 0; ct is never squared."""
+    s = np.sqrt((1 - u) * (1 + u))
+    return s, lam_t * s, lam_t * u * u / (1 + s)
+
+
+def _e_bessel(r: int, z, gap):
+    # exp(-lam*t) * I_r(z), given the gap lam*t - z >= 0, without overflow
+    return np.exp(-gap) * bessel_i_scaled(r, z)
 
 
 def joint_pdf_unconditional(
@@ -298,28 +307,28 @@ def joint_pdf_unconditional(
     beta, x = _arr(beta), _arr(x)
     inside = _in_wedge(beta, x, ct)
     w = np.minimum(2 * beta - x, ct) * inside
-    z = lam / c * np.sqrt(ct * ct - w * w)
-    i0 = _e_bessel(0, z, lam_t)
-    i1 = _e_bessel(1, z, lam_t)
+    _, z, gap = _bessel_args(lam_t, w / ct)
+    i0 = _e_bessel(0, z, gap)
+    i1 = _e_bessel(1, z, gap)
     if v0 is VelocitySign.PLUS:
         # on the edge x = 2*beta - ct, where z = 0, I_1(z)/z -> 1/2 gives
         # I_1(z)/sqrt(ct - w) -> lam*sqrt(2*ct)/(2*c)
         edge = w == ct
-        gap = np.where(edge, ct, ct - w)  # any positive stand-in on the edge
+        below = np.where(edge, ct, ct - w)  # any positive stand-in on the edge
         value = (
             lam
             / (c * np.sqrt(ct + w))
             * (
                 lam * w / (c * np.sqrt(ct + w)) * i0
-                + (lam * w / (c * np.sqrt(gap)) + np.sqrt(gap) / (ct + w)) * i1
+                + (lam * w / (c * np.sqrt(below)) + np.sqrt(below) / (ct + w)) * i1
             )
         )
-        value = np.where(edge, lam * lam / (2 * c * c) * (1 + lam_t) * math.exp(-lam_t), value)
+        value = np.where(edge, lam / c * (lam / c) / 2 * (1 + lam_t) * math.exp(-lam_t), value)
         return _on(inside, value)
     q = np.sqrt((ct - w) / (ct + w))
-    i2 = _e_bessel(2, z, lam_t)
-    i3 = _e_bessel(3, z, lam_t)
-    return _on(inside, lam * lam / (2 * c * c) * (i0 + q * i1 - q * q * i2 - q * q * q * i3))
+    i2 = _e_bessel(2, z, gap)
+    i3 = _e_bessel(3, z, gap)
+    return _on(inside, lam / c * (lam / c) / 2 * (i0 + q * i1 - q * q * i2 - q * q * q * i3))
 
 
 def joint_atom_max_equals_position_pdf_unconditional(
@@ -327,18 +336,19 @@ def joint_atom_max_equals_position_pdf_unconditional(
 ):
     """Density in beta of the line M(t) = T(t) = beta, given only V(0)."""
     c, lam = params.c, params.lam
-    ct, lam_t = c * t, params.lam * t
+    ct = c * t
     beta = _arr(beta)
     inside = (0.0 < beta) & (beta < ct)
-    beta = np.where(inside, beta, 0.5 * ct)
-    root = np.sqrt(ct * ct - beta * beta)
-    z = lam / c * root
+    if not np.all(inside):  # a stand-in level; where none is needed, a scalar stays one
+        beta = np.where(inside, beta, 0.5 * ct)
+    u = beta / ct
+    s, z, gap = _bessel_args(lam * t, u)
     if v0 is VelocitySign.PLUS:
-        return _on(inside, lam * beta / (c * root) * _e_bessel(1, z, lam_t))
+        return _on(inside, lam / c * u / s * _e_bessel(1, z, gap))
     return _on(inside, (
-        lam * beta / c * _e_bessel(0, z, lam_t)
-        + np.sqrt((ct - beta) / (ct + beta)) * _e_bessel(1, z, lam_t)
-    ) / (ct + beta))
+        lam / c * u * _e_bessel(0, z, gap)
+        + np.sqrt((1 - u) / (1 + u)) / ct * _e_bessel(1, z, gap)
+    ) / (1 + u))
 
 
 def joint_atom_diagonal_pdf_unconditional(
@@ -360,15 +370,14 @@ def joint_atom_max_zero_pdf_unconditional(
     if v0 is not VelocitySign.MINUS:
         raise ValueError("max_zero component exists only for a negative start")
     c, lam = params.c, params.lam
-    ct, lam_t = c * t, params.lam * t
+    ct = c * t
     x = _arr(x)
     inside = (-ct < x) & (x <= 0.0)
-    x = np.where(inside, x, -0.5 * ct)
-    root = np.sqrt(ct * ct - x * x)
-    z = lam / c * root
-    return _on(inside, -lam * x / (c * (ct - x)) * _e_bessel(0, z, lam_t) + (
-        (ct + x) / (ct - x) - lam * x / c
-    ) / root * _e_bessel(1, z, lam_t))
+    u = np.where(inside, x, -0.5 * ct) / ct
+    s, z, gap = _bessel_args(lam * t, u)
+    return _on(inside, -lam / c * u / (1 - u) * _e_bessel(0, z, gap) + (
+        (1 + u) / ((1 - u) * ct) - lam / c * u
+    ) / s * _e_bessel(1, z, gap))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +445,7 @@ def fpt_pdf_unconditional(v0: VelocitySign, beta: float, t, params: MotionParams
     t = _arr(t)
     inside = t > beta / params.c
     if not np.any(inside):
-        # 0 without the arithmetic below, which overflows at a level past about 1e154
-        return _zero(t)
+        return _zero(t)  # and no arithmetic below, which would underflow at a high level
     t = np.where(inside, t, 2 * beta / params.c)  # any horizon past beta/c
     return _on(inside, params.c * joint_atom_max_equals_position_pdf_unconditional(
         v0, beta, t, params))
@@ -507,6 +515,27 @@ def return_pdf_unconditional(t, params: MotionParams):
 # the law table and the query interface
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _legendre(nodes: int) -> tuple:
+    from numpy.polynomial.legendre import leggauss  # kept off the package import
+    return leggauss(nodes)
+
+
+def _gauss(f: Callable[[np.ndarray], np.ndarray], pieces, nodes: int):
+    """Gauss-Legendre integral over consecutive pieces, exact to degree 2*nodes - 1.
+    The piece ends may be arrays of one shape, for a family of intervals: f is
+    called once, on the nodes of every piece along a new last axis."""
+    x, w = _legendre(nodes)
+    ends = np.asarray(pieces, dtype=float)[..., None]
+    half, mid = 0.5 * (ends[1:] - ends[:-1]), 0.5 * (ends[1:] + ends[:-1])
+    return ((half * f(mid + half * x)) @ w).sum(axis=0)
+
+
+#: Most Gauss-Legendre nodes per support piece of an interval mass (exact to
+#: degree 127, so to n = 124), and most law points it evaluates at once
+_MAX_NODES, _MAX_POINTS = 64, 1 << 16
+
+
 def _overflow(law: str, n: Optional[int]) -> OverflowError:
     where = "given only V(0)" if n is None else f"at n = {n}"
     return OverflowError(f"law {law} {where} overflows a float")
@@ -538,7 +567,8 @@ class _Law:
     only V(0), into an array function of the free variables; None marks a
     case the law does not have.  ``atoms`` gives the singular rows reported
     beside a grid, as ((beta, x, s), mass, label).  ``n0_at``, where set, labels
-    the single atom of mass 1 that the law reduces to at n = 0.
+    the single atom of mass 1 that the law reduces to at n = 0.  ``pieces`` gives
+    the support breakpoints on the axis of a law of one free variable.
     """
 
     free: tuple
@@ -548,6 +578,7 @@ class _Law:
     kind: str = "density"
     atoms: Callable[[_Fixed], tuple] = lambda q: ()
     n0_at: Optional[Callable[[_Fixed], str]] = None
+    pieces: Optional[Callable[[_Fixed], tuple]] = None
 
 
 #: (law, joint component or None) -> entry
@@ -556,12 +587,14 @@ LAWS = {
         ("x",), "T(t) = {x}",
         cond=lambda q: lambda x: position_pdf(q.sign, q.n, x, q.t, q.c),
         n0_at=lambda q: f"T(t) = {q.sign * q.c * q.t}",
+        pieces=lambda q: (-(q.c * q.t), q.c * q.t),
     ),
     ("max", None): _Law(
         ("beta",), "M(t) = {beta}",
         cond=lambda q: lambda beta: max_pdf(q.v0, q.n, beta, q.t, q.c),
         atoms=lambda q: (((0.0, None, None), max_atom_zero(q.v0, q.n), "M(t) = 0"),),
         n0_at=lambda q: f"M(t) = {q.c * q.t if q.sign > 0 else 0}",
+        pieces=lambda q: (0.0, q.c * q.t),
     ),
     ("max_cdf", None): _Law(
         ("beta",), "M(t) <= {beta}", kind="cdf",
@@ -578,18 +611,21 @@ LAWS = {
             q.v0, q.n, beta, q.t, q.c),
         uncond=lambda q: lambda beta: joint_atom_max_equals_position_pdf_unconditional(
             q.v0, beta, q.t, q.params),
+        pieces=lambda q: (0.0, q.c * q.t),
     ),
     ("joint", "diagonal"): _Law(
         ("beta",), "M = {beta}, T = 2M - ct",
         cond=lambda q: lambda beta: joint_atom_diagonal_pdf(q.v0, q.n, beta, q.t, q.c),
         uncond=lambda q: lambda beta: joint_atom_diagonal_pdf_unconditional(
             q.v0, beta, q.t, q.params),
+        pieces=lambda q: (0.0, q.c * q.t),
     ),
     ("joint", "max_zero"): _Law(
         ("x",), "M = 0, T = {x}",
         cond=lambda q: lambda x: joint_atom_max_zero_pdf(q.v0, q.n, x, q.t, q.c),
         uncond=lambda q: lambda x: joint_atom_max_zero_pdf_unconditional(
             q.v0, x, q.t, q.params),
+        pieces=lambda q: (-(q.c * q.t), 0.0),
     ),
     ("joint", "corner"): _Law(
         (),
@@ -608,15 +644,18 @@ LAWS = {
         atoms=lambda q: (((q.beta, None, q.beta / q.c), (
             fpt_atom_unconditional(q.v0, q.beta, q.params) if q.n is None
             else fpt_atom(q.v0, q.n, q.beta, q.t, q.c)), f"F_beta = {q.beta / q.c}"),),
+        pieces=lambda q: (min(q.beta / q.c, q.t), q.t),
     ),
     ("return", None): _Law(
         ("s",), "F_0 = {s}",
         cond=lambda q: lambda s: return_pdf_corrected(q.n, s, q.t),
         uncond=lambda q: lambda: return_pdf_unconditional(q.t, q.params),
+        pieces=lambda q: (0.0, q.t),
     ),
     ("return_printed", None): _Law(
         ("s",), "F_0 = {s}",
         cond=lambda q: lambda s: return_pdf_printed(q.n, s, q.t),
+        pieces=lambda q: (0.0, q.t),
     ),
 }
 
@@ -628,6 +667,7 @@ class Resolved:
     ``pdf`` is an array function of the free variables ``free``.  ``at``
     labels a value, field i taking free variable i.  ``atoms`` are the
     singular rows reported beside a grid, as ((beta, x, s), mass, label).
+    ``pieces`` are its support breakpoints, None where it has no interval mass.
     """
 
     law: str
@@ -637,6 +677,7 @@ class Resolved:
     at: str
     pdf: Callable[..., np.ndarray]
     atoms: tuple
+    pieces: Optional[tuple]
 
     def values(self, *arrays) -> np.ndarray:
         """The law on the broadcast free-variable arrays, range-checked; an
@@ -659,6 +700,30 @@ class Resolved:
             point = [a.flat[i] for a in arrays]
             _check_range(self.kind, values.flat[i], self.at.format(*point))
         return values
+
+    def mass(self, edges) -> np.ndarray:
+        """Mass of each bin [edges[i], edges[i+1]) of a histogram, the last bin
+        closed, as ``np.histogram`` bins samples: the atoms it would put there,
+        plus a Gauss-Legendre rule on the bin's part of each support piece with
+        n // 2 + 2 nodes, at most ``_MAX_NODES`` (exact for a conditional law,
+        a polynomial of degree n - 1 or less on each piece), or ``_MAX_NODES``
+        without n."""
+        if self.pieces is None:
+            raise ValueError(f"law {self.law} has no interval mass")
+        edges = np.asarray(edges, dtype=float)
+        nodes = _MAX_NODES if self.n is None else min(self.n // 2 + 2, _MAX_NODES)
+        p = np.asarray(self.pieces, dtype=float)[:, None]
+        ends = np.clip(edges, p[:-1], p[1:])  # the edges inside each piece
+        out = np.empty(len(edges) - 1)
+        step = max(1, _MAX_POINTS // (nodes * len(ends)))
+        for i in range(0, len(out), step):
+            part = ends[:, i:i + step + 1]
+            out[i:i + step] = _gauss(self.values, (part[:, :-1], part[:, 1:]), nodes).sum(axis=0)
+        for point, atom, _ in self.atoms:
+            at = dict(zip(("beta", "x", "s"), point))[self.free[0]]
+            if edges[0] <= at <= edges[-1]:
+                out[min(np.searchsorted(edges, at, side="right"), len(out)) - 1] += atom
+        return out
 
 
 def resolve(
@@ -705,15 +770,16 @@ def resolve(
         free, fields = (), {"s": q.t}
     fields.update({var: f"{{{i}}}" for i, var in enumerate(free)})
     if n == 0 and entry.n0_at is not None:
-        kind, at, pdf = "atom", entry.n0_at(q), lambda *point: 1.0
+        kind, at, pdf, pieces = "atom", entry.n0_at(q), lambda *point: 1.0, None
     else:
         kind, pdf = entry.kind, bind(q)
         at = entry.at(q) if callable(entry.at) else entry.at.format(**fields)
+        pieces = entry.pieces(q) if entry.pieces and free else None
     try:
         atoms = entry.atoms(q)
     except OverflowError:
         raise _overflow(law, n) from None
     for _, mass, label in atoms:
         _check_range("atom", mass, label)
-    return Resolved(law, n, free, kind, at, pdf, atoms)
+    return Resolved(law, n, free, kind, at, pdf, atoms, pieces)
 

@@ -533,35 +533,6 @@ def mc_probability(
     return McReport(p_hat, se, reps, analytic, z)
 
 
-@functools.lru_cache(maxsize=256)
-def _legendre(nodes: int) -> tuple:
-    from numpy.polynomial.legendre import leggauss  # kept off the package import
-    return leggauss(nodes)
-
-
-def _gauss(f: Callable[[np.ndarray], np.ndarray], pieces: Sequence, nodes: int):
-    """Gauss-Legendre integral over consecutive pieces, exact to degree 2*nodes - 1.
-
-    The piece ends may be arrays of one shape, for a family of intervals: f is
-    called once, on the nodes of every piece along a new last axis, and the
-    integral has the shape of the ends.
-    """
-    x, w = _legendre(nodes)
-    ends = np.asarray(pieces, dtype=float)[..., None]
-    half, mid = 0.5 * (ends[1:] - ends[:-1]), 0.5 * (ends[1:] + ends[:-1])
-    return ((half * f(mid + half * x)) @ w).sum(axis=0)
-
-
-#: Most Gauss-Legendre nodes per bin of a histogram's analytic reference;
-#: 64 nodes are exact to degree 127, so up to switch count n = 124.  An
-#: unconditional reference takes all 64: against 256 sub-pieces of 64 nodes,
-#: the bin averages of the unconditional first-passage (beta = 0.3, either
-#: start) and first-return densities at c = t = 1 with 1, 10 and 100 bins are
-#: within 1e-13 relative wherever lambda * width <= 100, and 4.7e-5 for the
-#: return density on one bin of (0, 1) at lambda = 1000.
-_MAX_BIN_NODES = 64
-
-
 #: batch functionals by name, with whether each takes the level beta
 _FUNCTIONALS = {
     "position": (position_batch, False),
@@ -583,7 +554,7 @@ def mc_density_histogram(
     seed: int = 0,
     threads: int = 1,
     beta: Optional[float] = None,
-    analytic: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    mass: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> List[HistogramBin]:
     """Histogram density estimate of a path functional with bin-wise errors.
 
@@ -593,18 +564,12 @@ def mc_density_histogram(
     domain of switch counts, so the histogram depends only on (seed, reps).
     Per bin, the density estimate is frequency/width with standard error
     sqrt(p(1-p)/reps)/width, where an empty bin falls back to p = 1/reps.
-    ``analytic``, where given, is a density taking an array of points; it is
-    called on the nodes of a Gauss-Legendre rule in every bin, a block of at
-    most ``_BLOCK_VERTICES`` points at a time, and each bin carries its bin
-    average ref and a z-score against it, under the error the reference predicts
-    (p = ref*width in the formula above), not the bin's own.  The rule has
-    n // 2 + 2 nodes, at most ``_MAX_BIN_NODES``: a conditional density is a
-    polynomial of degree at most n - 1 on each piece of its support, so a
-    bin inside one piece gets its exact average.  A bin that straddles a
-    support edge or another breakpoint gets an approximate one, and so does
-    an unconditional density, which takes ``_MAX_BIN_NODES`` nodes (its
-    measured accuracy is beside that constant).  A bin whose reference holds
-    every sample has no z-score.
+    ``mass``, where given, maps the bin edges to the law's mass in each bin,
+    binned as ``np.histogram`` bins the samples (``laws.Resolved.mass``).
+    Each bin then carries its reference ref = mass/width and a z-score
+    against it, under the error the reference predicts (p = ref*width in the
+    formula above), not the bin's own.  A bin whose reference holds every
+    sample has no z-score.
     """
     _check_horizon(t)
     if bins < 1:
@@ -637,23 +602,12 @@ def mc_density_histogram(
     def std_error(p):
         return np.sqrt(np.maximum(p, 1.0 / reps) * np.maximum(1.0 - p, 0.0) / reps) / width
 
-    se = std_error(p_hat)
-    if analytic is not None:
-        nodes = _MAX_BIN_NODES if n is None else min(n // 2 + 2, _MAX_BIN_NODES)
-        step = max(1, _BLOCK_VERTICES // nodes)
-        ref = np.empty(bins)
-        for start in range(0, bins, step):
-            block = slice(start, start + step)
-            ref[block] = _gauss(analytic, (edges[:-1][block], edges[1:][block]), nodes)
-        ref /= width
-        se_ref = std_error(ref * width)
-    out = []
-    for i in range(bins):
-        r = z = None
-        if analytic is not None:
-            r = float(ref[i])
-            if se_ref[i] > 0.0:
-                z = float((estimate[i] - r) / se_ref[i])
-        report = McReport(float(estimate[i]), float(se[i]), reps, r, z)
-        out.append(HistogramBin(float(edges[i]), float(edges[i + 1]), report))
-    return out
+    refs = zs = [None] * bins
+    if mass is not None:
+        ref = mass(edges) / width
+        refs = ref.tolist()
+        zs = [float((e - r) / s) if s > 0.0 else None
+              for e, r, s in zip(estimate, ref, std_error(ref * width))]
+    return [HistogramBin(a, b, McReport(e, s, reps, r, z)) for a, b, e, s, r, z in zip(
+        edges[:-1].tolist(), edges[1:].tolist(), estimate.tolist(), std_error(p_hat).tolist(),
+        refs, zs)]

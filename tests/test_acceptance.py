@@ -171,7 +171,7 @@ class TestCriterion6MonteCarloDensities:
     REPS = 1_000_000
     BINS = 20
 
-    def run_histogram(self, functional, v0, n, value_range, seed, beta=None, analytic=None):
+    def run_histogram(self, functional, v0, n, value_range, seed, beta=None, mass=None):
         bins = sampler.mc_density_histogram(
             functional,
             v0,
@@ -183,27 +183,27 @@ class TestCriterion6MonteCarloDensities:
             reps=self.REPS,
             seed=seed,
             beta=beta,
-            analytic=analytic,
+            mass=mass,
         )
         assert_band_rule([b.report.z_score for b in bins])
 
     def test_position_upward_two_switches(self):
         self.run_histogram(
             "position", PLUS, 2, (-1.0, 1.0), seed=101,
-            analytic=lambda x: laws.position_pdf(+1, 2, x, 1.0, 1.0),
+            mass=laws.resolve("position", "+", 2, 1.0, 1.0, 1.0).mass,
         )
 
     def test_position_downward_five_switches(self):
         self.run_histogram(
             "position", MINUS, 5, (-1.0, 1.0), seed=102,
-            analytic=lambda x: laws.position_pdf(-1, 5, x, 1.0, 1.0),
+            mass=laws.resolve("position", "-", 5, 1.0, 1.0, 1.0).mass,
         )
 
     def test_max_downward_three_switches(self):
         # the law has an atom at 0; the histogram covers the density part
         self.run_histogram(
             "max", MINUS, 3, (1e-9, 1.0), seed=103,
-            analytic=lambda b: laws.max_pdf(MINUS, 3, b, 1.0, 1.0),
+            mass=laws.resolve("max", "-", 3, 1.0, 1.0, 1.0).mass,
         )
 
     def test_joint_marginal_above_level(self):
@@ -240,13 +240,13 @@ class TestCriterion6MonteCarloDensities:
         beta = 0.5
         self.run_histogram(
             "fpt", PLUS, 4, (beta + 1e-6, 1.0), seed=105, beta=beta,
-            analytic=lambda s: laws.fpt_pdf(PLUS, 4, beta, s, 1.0, 1.0),
+            mass=laws.resolve("fpt", "+", 4, 1.0, 1.0, 1.0, beta=beta).mass,
         )
 
     def test_corrected_return_three_switches(self):
         self.run_histogram(
             "return", MINUS, 3, (1e-9, 1.0), seed=106,
-            analytic=lambda s: laws.return_pdf_corrected(3, s, 1.0),
+            mass=laws.resolve("return", "-", 3, 1.0, 1.0, 1.0).mass,
         )
 
 

@@ -110,9 +110,11 @@ class TestEval:
         assert "Traceback" not in err
 
     def test_unconditional_overflow_names_no_switch_count(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "--law", "fpt", "--beta", "0.5", "--t", "1e300")
+        # at ct = 1e-200 the joint density is of order 1/(ct)^2 = 1e400
+        code, _, err = run_cli(capsys, "eval", "--law", "joint", "--v0", "-", "--c", "1e-200",
+                               "--beta", "5e-201", "--x", "0")
         assert code == 2
-        assert err == "error: law fpt given only V(0) overflows a float\n"
+        assert err == "error: law joint given only V(0) overflows a float\n"
 
     def test_conditional_max_equals_position_component(self, capsys):
         code, out, _ = run_cli(
@@ -224,6 +226,18 @@ class TestSimulate:
         _, c, _ = run_cli(capsys, *args)
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("argv", [
+        # the direct-flight atom of mass 0.25 at s = beta/c falls in bin [0.5, 0.75)
+        "--functional fpt --v0 + --n 2 --beta 0.5 --range=0:1 --bins 4 --reps 1000 --seed 1",
+        # the P{M = 0} atom of mass 0.5 falls in bin [0, 0.25)
+        "--functional max --v0 - --n 2 --range=0:1 --bins 4 --reps 100000 --seed 1",
+    ])
+    def test_bins_holding_an_atom_score_against_its_mass(self, capsys, tmp_path, argv):
+        code, out, _ = run_cli(capsys, "simulate", *argv.split(),
+                               "--output", str(tmp_path / "hist.csv"))
+        assert code == 0
+        assert json.loads(out)["max_abs_z"] < 4.0
 
     def test_output_file_and_summary(self, capsys, tmp_path):
         target = tmp_path / "hist.csv"

@@ -422,6 +422,23 @@ class TestJointLaw:
         assert worst <= 1e-12
 
 
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    @pytest.mark.parametrize("lam, beta", [(1e12, 1e-6), (1e20, 1e-10)])
+    def test_unconditional_line_keeps_its_gap_at_a_large_rate(self, v0, lam, beta):
+        # lam*t - z = 0.5 here, below one ulp of lam*t: formed as a difference
+        # it would be lost, and the value off by a factor e^0.5
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        lam_, b = mpmath.mpf(lam), mpmath.mpf(beta)
+        root = mpmath.sqrt(1 - b * b)
+        i0, i1 = (mpmath.besseli(r, lam_ * root) * mpmath.exp(-lam_) for r in (0, 1))
+        want = (lam_ * b / root * i1 if v0 is PLUS
+                else (lam_ * b * i0 + mpmath.sqrt((1 - b) / (1 + b)) * i1) / (1 + b))
+        got = laws.joint_atom_max_equals_position_pdf_unconditional(
+            v0, beta, 1.0, MotionParams(1.0, lam))
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
 class TestFptLaw:
     def test_atom_at_direct_flight(self):
         # upward start reaches beta at time beta/c iff no switch happens before
@@ -475,6 +492,15 @@ class TestFptLaw:
         for level in (0.0, -0.5):
             with pytest.raises(ValueError, match="level must be > 0"):
                 laws.fpt_pdf_unconditional(v0, level, t, params)
+
+    @pytest.mark.parametrize("t", [1e30, 1e50, 1e160])
+    def test_unconditional_density_at_long_horizons_is_brownian(self, t):
+        # under lambda = c^2 the upward-start density tends to the Brownian
+        # beta exp(-beta^2/(2t)) / sqrt(2 pi t^3); at these horizons the two
+        # agree to rounding, and a gap formed as lam*t - z would lose them all
+        got = laws.fpt_pdf_unconditional(PLUS, 1.0, t, MotionParams(20.0, 400.0))
+        brown = math.exp(-0.5 / t) / math.sqrt(2.0 * math.pi * t) / t
+        assert got == pytest.approx(brown, rel=1e-10, abs=0.0)
 
     def test_unconditional_atom_is_exponential(self):
         atom = laws.fpt_atom_unconditional(PLUS, 0.5, PARAMS)
@@ -573,6 +599,74 @@ class TestPoissonMixture:
         got = _poisson_mixture(lambda n: laws.return_pdf_corrected(n, t, t), lam * t)
         want = laws.return_pdf_unconditional(t, MotionParams(c, lam))
         assert got == pytest.approx(want, rel=self.REL, abs=0.0)
+
+
+class TestIntervalMass:
+    """``Resolved.mass`` against adaptive Simpson plus the atoms."""
+
+    @staticmethod
+    def simpson(law, *points):
+        """Adaptive Simpson over consecutive points; each piece reads the law
+        inside its open interval, so a jump at a piece end is never sampled."""
+        total = 0.0
+        for a, b in zip(points[:-1], points[1:]):
+            lo, hi = np.nextafter(a, b), np.nextafter(b, a)
+            total += quadrature(lambda v: float(law.values(min(max(v, lo), hi))), a, b,
+                                abs_tol=1e-14)
+        return total
+
+    @pytest.mark.parametrize("v0, n", [("+", 3), ("-", 8)])
+    def test_bins_across_the_support_ends(self, v0, n):
+        law = laws.resolve("position", v0, n, 0.5, 1.6, 1.0)  # ct = 0.8
+        got = law.mass([-1.1, -0.5, 0.3, 1.0])
+        want = [self.simpson(law, -1.1, -0.8, -0.5), self.simpson(law, -0.5, 0.3),
+                self.simpson(law, 0.3, 0.8, 1.0)]
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert got.sum() == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("v0, n", [("+", 4), ("-", 5), ("+", 1)])
+    def test_bin_across_the_direct_flight_time(self, v0, n):
+        law = laws.resolve("fpt", v0, n, 1.0, 1.0, 1.0, beta=0.5)
+        atom = laws.fpt_atom(VelocitySign(v0), n, 0.5, 1.0, 1.0)
+        (got,) = law.mass([0.4, 0.7])
+        assert got == pytest.approx(self.simpson(law, 0.4, 0.5, 0.7) + atom, rel=0.0,
+                                    abs=1e-12)
+
+    def test_bin_holding_the_max_atom(self):
+        law = laws.resolve("max", "-", 3, 1.0, 1.0, 1.0)
+        got = law.mass([0.0, 0.3, 1.0])
+        assert got[0] == pytest.approx(self.simpson(law, 0.0, 0.3) + 0.375, rel=0.0, abs=1e-12)
+        assert got[1] == pytest.approx(self.simpson(law, 0.3, 1.0), rel=0.0, abs=1e-12)
+
+    def test_unconditional_line_across_its_end(self):
+        law = laws.resolve("joint", "-", None, 1.0, 1.0, 3.0, component="max_equals_position")
+        (got,) = law.mass([0.5, 1.5])
+        assert got == pytest.approx(self.simpson(law, 0.5, 1.0, 1.5), rel=0.0, abs=1e-12)
+
+    def test_atoms_are_binned_as_np_histogram_bins_samples(self):
+        law = laws.resolve("max", "-", 2, 1.0, 1.0, 1.0)  # P{M = 0} = 0.5
+        for edges in ([-1.0, 0.0, 1.0], [-1.0, 0.0], [0.0, 0.5, 1.0], [0.1, 1.0]):
+            counts, _ = np.histogram([0.0], bins=edges)
+            density = law.mass(edges) - 0.5 * counts
+            want = [self.simpson(law, max(a, 0.0), b) if b > 0 else 0.0
+                    for a, b in zip(edges[:-1], edges[1:])]
+            assert density == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_atom_at_the_upper_end_is_in_the_last_bin(self):
+        # the direct flight of mass 0.25 lands at s = 0.5, the end of the range
+        law = laws.resolve("fpt", "+", 2, 1.0, 1.0, 1.0, beta=0.5)
+        edges = np.linspace(0.0, 0.5, 5)
+        assert law.mass(edges).tolist() == [0.0, 0.0, 0.0, 0.25]
+        assert np.histogram([0.5], bins=4, range=(0.0, 0.5))[0].tolist() == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("query", [
+        ("max_cdf", "+", 3, {}), ("joint", "+", 3, {}), ("fpt", "+", None, {"beta": 0.5}),
+        ("position", "+", 0, {}),
+    ])
+    def test_laws_without_an_interval_mass_refuse(self, query):
+        law, v0, n, fixed = query
+        with pytest.raises(ValueError, match="no interval mass"):
+            laws.resolve(law, v0, n, 1.0, 1.0, 1.0, **fixed).mass([0.0, 1.0])
 
 
 class TestQueryInterface:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -582,7 +583,7 @@ class TestMcDensityHistogram:
             value_range=(-1.0, 1.0),
             reps=200000,
             seed=4,
-            analytic=lambda x: laws.position_pdf(+1, 2, x, 1.0, 1.0),
+            mass=laws.resolve("position", "+", 2, 1.0, 1.0, 1.0).mass,
         )
         assert len(bins) == 10
         worst = max(abs(b.report.z_score) for b in bins)
@@ -603,7 +604,7 @@ class TestMcDensityHistogram:
             reps=150000,
             seed=5,
             beta=beta,
-            analytic=lambda s: laws.fpt_pdf(PLUS, 3, beta, s, 1.0, 1.0),
+            mass=laws.resolve("fpt", "+", 3, 1.0, 1.0, 1.0, beta=beta).mass,
         )
         worst = max(abs(b.report.z_score) for b in bins)
         assert worst < 4.0
@@ -614,7 +615,7 @@ class TestMcDensityHistogram:
         density = lambda x: laws.position_pdf(+1, n, x, 1.0, 1.0)
         got = sampler.mc_density_histogram(
             "position", PLUS, n, PARAMS, 1.0, bins=bins, value_range=(-1.0, 1.0), reps=100,
-            analytic=density,
+            mass=laws.resolve("position", "+", n, 1.0, 1.0, 1.0).mass,
         )
         for b in got:
             mass = verify.quadrature(lambda x: float(density(x)), b.lo, b.hi, abs_tol=1e-13)
@@ -630,20 +631,23 @@ class TestMcDensityHistogram:
             sizes.append(x.size)
             return laws.position_pdf(+1, 8, x, 1.0, 1.0)
 
+        # the n = 8 position law, taking the node count of switch count n
+        law = dataclasses.replace(laws.resolve("position", "+", 8, 1.0, 1.0, 1.0), n=n, pdf=density)
+
         def refs():
             bins = sampler.mc_density_histogram(
                 "position", PLUS, n, PARAMS, 1.0, bins=101, value_range=(-1.0, 1.0), reps=100,
-                analytic=density,
+                mass=law.mass,
             )
             return [b.report.analytic for b in bins]
 
-        points = 101 * (sampler._MAX_BIN_NODES if n is None else 8 // 2 + 2)
+        points = 101 * (laws._MAX_NODES if n is None else 8 // 2 + 2)
         want = refs()
         assert sizes == [points]
         sizes.clear()
-        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 20 * sampler._MAX_BIN_NODES)
+        monkeypatch.setattr(laws, "_MAX_POINTS", 20 * laws._MAX_NODES)
         got = refs()
-        assert max(sizes) <= 20 * sampler._MAX_BIN_NODES and sum(sizes) == points
+        assert max(sizes) <= 20 * laws._MAX_NODES and sum(sizes) == points
         # a one-row block may round its last bit differently from a wider one
         assert got == pytest.approx(want, rel=1e-14)
 

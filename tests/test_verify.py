@@ -47,13 +47,13 @@ class TestGaussRule:
     def test_exact_for_degree_up_to_2m_minus_1(self, nodes, rel):
         a, b = 0.3, 1.7
         for d in range(2 * nodes):
-            got = verify._gauss(lambda x: x**d, (a, b), nodes)
+            got = laws._gauss(lambda x: x**d, (a, b), nodes)
             want = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
             assert got == pytest.approx(want, rel=rel, abs=0.0), d
 
     def test_pieces_add_up(self):
         f = lambda x: abs(x - 0.3) ** 3
-        got = verify._gauss(f, (-1.0, 0.3, 2.0), 2)
+        got = laws._gauss(f, (-1.0, 0.3, 2.0), 2)
         assert got == pytest.approx((1.3**4 + 1.7**4) / 4, rel=1e-14)
 
 
@@ -69,9 +69,9 @@ class TestNormalizationSuite:
 
     def test_doubling_the_nodes_changes_no_total(self, normalization_64, monkeypatch):
         # the rule is exact already, so twice the nodes agree up to rounding
-        gauss = verify._gauss
+        gauss = laws._gauss
         monkeypatch.setattr(
-            verify, "_gauss", lambda f, pieces, nodes: gauss(f, pieces, 2 * nodes)
+            laws, "_gauss", lambda f, pieces, nodes: gauss(f, pieces, 2 * nodes)
         )
         doubled = verify.normalization_suite()
         assert [r.name for r in doubled] == [r.name for r in normalization_64]
@@ -155,6 +155,23 @@ class TestSuites:
             verify.kac_limit_check(t_values=(1.0, 0.0))
         with pytest.raises(ValueError, match="switching rate"):
             verify.kac_limit_check(c_values=(20.0, 1e300))
+
+    def test_kac_errors_at_rounding_need_not_shrink(self):
+        # at these horizons both densities match the Brownian one to rounding;
+        # at t = 1e30 the error is 0 at c = 20 and 1.9e-16 at c = 50
+        results = verify.kac_limit_check(t_values=(1e30, 1e100))
+        assert [r.passed for r in results] == [True] * 4
+        grows = results[1]
+        assert grows.expected < grows.observed <= verify._KAC_FLOOR
+
+    def test_kac_errors_that_grow_fail(self, monkeypatch):
+        # relative errors 0.03 at c = 20 and 0.04 at c = 50
+        brown = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+        monkeypatch.setattr(verify.laws, "fpt_pdf_unconditional", lambda v0, beta, t, params:
+                            brown * (1.0 + {20.0: 0.03, 50.0: 0.04}[params.c]))
+        results = verify.kac_limit_check(t_values=(1.0,))
+        assert [r.passed for r in results] == [True, False]
+        assert results[1].observed == pytest.approx(0.04)
 
     def test_mc_cross_suite_passes_at_reduced_size(self):
         results = verify.mc_cross_suite(reps=40000, seed=0)
