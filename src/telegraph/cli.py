@@ -31,8 +31,8 @@ from .params import MotionParams, VelocitySign
 from .path import TelegraphPath, position_at
 from .reflection import (CrossingPair, classify_crossings, in_P_plus, negative_reflect,
                          negative_reflect_inverse)
-from .sampler import (_BLOCK_VERTICES, RngStream, _check_counts, mc_density_histogram,
-                      position_batch, sample_conditional, sample_switches_batch)
+from .sampler import (RngStream, _check_counts, _chunk_rows, _switch_blocks,
+                      mc_density_histogram, position_batch, sample_conditional)
 from . import verify as verify_mod
 
 __all__ = ["main", "build_parser"]
@@ -45,6 +45,8 @@ def _grid_spec(text: str) -> np.ndarray:
         points = np.linspace(float(lo), float(hi), int(count))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}, want lo:hi:count") from exc
+    except MemoryError as exc:
+        raise argparse.ArgumentTypeError(f"grid {text!r} does not fit in memory: {exc}") from exc
     return points
 
 
@@ -300,10 +302,8 @@ def cmd_reflect(args) -> int:
         _check_counts(args.n, params, args.t)
         count, budget = args.count, 10000 * args.count
         rng = RngStream(_default_seed(args.seed), 77).generator()
-        # a round is one vertex block of draws, the bits of one rng.uniform(0, t, n) per row
-        block = max(1, _BLOCK_VERTICES // (args.n + 2))
-        rounds = (sample_switches_batch(args.n, args.t, min(block, budget - drawn), rng)
-                  for drawn in range(0, budget, block))
+        # a round is one vertex block of the driver's draws, drawn when reached
+        rounds = _switch_blocks(_chunk_rows(args.n, params, args.t, budget, rng)[1], args.t)
     # the records are the first rows of the stream that pass; each round keeps
     # (switches, x, image, round trip, h, l) of its admitted rows
     kept, taken = [], 0
@@ -361,12 +361,10 @@ def cmd_kac(args) -> int:
 # parser
 
 
-def _add_common(sub, *, lam_default=1.0):
+def _add_common(sub):
     sub.add_argument("--c", type=float, default=1.0, help="speed c > 0 (default 1)")
-    sub.add_argument(
-        "--lambda", dest="lam", type=float, default=lam_default,
-        help=f"switch rate lambda > 0 (default {lam_default})",
-    )
+    sub.add_argument("--lambda", dest="lam", type=float, default=1.0,
+                     help="switch rate lambda > 0 (default 1.0)")
     sub.add_argument("--t", type=float, default=1.0, help="time horizon (default 1)")
     sub.add_argument("--output", help="write to this file instead of stdout")
 
@@ -442,7 +440,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError, laws.OutOfScopeError) as exc:
+    except (ValueError, OverflowError, MemoryError, OSError, laws.OutOfScopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

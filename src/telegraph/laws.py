@@ -687,7 +687,7 @@ class Resolved:
             if not np.isfinite(a).all():
                 raise ValueError(f"law {self.law} needs a finite {var}, got {a[~np.isfinite(a)][0]}")
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 values = self.pdf(*arrays)
         except OverflowError:
             raise _overflow(self.law, self.n) from None

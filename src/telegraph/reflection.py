@@ -13,7 +13,9 @@ There is one engine: the batch kernels ``crossings_batch``,
 ``zero_return_crossings_batch`` and ``reflect_batch`` find the cut points
 and rearrange the switch times of many equal-count paths at once, and they
 state the transform's domain rule; the two crossing kernels are vertex
-reductions that ``sampler.reduce_vertices`` runs block by block.
+reductions that ``sampler.reduce_vertices`` runs block by block, and each
+of their four cut times comes from ``sampler._crossing``, the crossing rule
+of the first-passage and return kernels.
 ``classify_crossings``, ``negative_reflect`` and ``negative_reflect_inverse``
 are their one-row case: each checks the path's membership, runs it as a
 batch of one row and raises where the kernels mark that row not ok.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .params import MotionParams, VelocitySign
 from .path import TelegraphPath, position_at, running_max
-from .sampler import _first_rows, _vertex_offsets, reduce_vertices
+from .sampler import _crossing, reduce_vertices
 
 __all__ = [
     "ReflectionContext",
@@ -246,21 +248,11 @@ def crossings_batch(switches: np.ndarray, horizon: float, c: float, beta: float)
         k = np.arange(1, pos.shape[0])[:, None]  # displacement k ends at vertex k
         # a strict crossing fixes the sign of the segment's slope
         up = (pos[:-1] < beta) & (pos[1:] > beta)
-        h, has_up = _first_rows(up)
-        h += 1  # displacement index, 1-based
+        h, t1, ok = _crossing(times, pos, up, beta, c, tol)
         down = (pos[:-1] > beta) & (pos[1:] < beta)
         down &= k > h
-        l, has_down = _first_rows(down)
-        l += 1
-
-        tv, pv = times.ravel("K"), pos.ravel("K")
-        at1, step = _vertex_offsets(pos, h - 1)
-        at2, _ = _vertex_offsets(pos, l - 1)
-        t1 = tv[at1] + (beta - pv[at1]) / c
-        t2 = tv[at2] + (pv[at2] - beta) / c
-        ok = has_up & has_down & (pos[-1] <= beta)
-        ok &= np.minimum(t1 - tv[at1], tv[at1 + step] - t1) > tol
-        ok &= np.minimum(t2 - tv[at2], tv[at2 + step] - t2) > tol
+        l, t2, has_down = _crossing(times, pos, down, beta, c, tol)
+        ok &= has_down & (pos[-1] <= beta)
         # pos is not needed any more: take the distances to the level in place
         dist = pos[1:]
         touch = np.abs(np.subtract(dist, beta, out=dist), out=dist) <= tol
@@ -307,21 +299,11 @@ def zero_return_crossings_batch(
     def reduce(times, pos):
         # both cut points lie on upward segments
         back = (pos[:-1] < 0.0) & (pos[1:] >= 0.0)
-        j1, has_back = _first_rows(back)
-        j1 += 1
+        j1, u1, ok = _crossing(times, pos, back, 0.0, c, tol)
         up = (pos[:-1] < beta) & (pos[1:] > beta)
         up &= np.arange(1, pos.shape[0])[:, None] >= j1
-        j2, has_up = _first_rows(up)
-        j2 += 1
-
-        tv, pv = times.ravel("K"), pos.ravel("K")
-        at1, step = _vertex_offsets(pos, j1 - 1)
-        at2, _ = _vertex_offsets(pos, j2 - 1)
-        u1 = tv[at1] + (0.0 - pv[at1]) / c
-        u2 = tv[at2] + (beta - pv[at2]) / c
-        ok = has_back & has_up
-        ok &= np.minimum(u1 - tv[at1], tv[at1 + step] - u1) > tol
-        ok &= np.minimum(u2 - tv[at2], tv[at2 + step] - u2) > tol
+        j2, u2, has_up = _crossing(times, pos, up, beta, c, tol)
+        ok &= has_up
         return u1, u2, j1, j2, ok
 
     return reduce_vertices(reduce, VelocitySign.MINUS, switches, horizon, c)

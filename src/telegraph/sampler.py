@@ -14,7 +14,9 @@ rows, :class:`SwitchRows`: (count k, rows m_k) groups in increasing k and a
 ``draw(k, rows)`` that returns the next rows of count k.  A Monte Carlo
 chunk's ``draw`` calls ``sample_switches_batch`` on the chunk's generator;
 an (m, n) array is the one-group source whose ``draw`` slices it, so every
-batch kernel takes either as its ``switches``.
+batch kernel takes either as its ``switches``.  Every crossing time, of the
+first passage and return here and of both reflection cuts, comes from one
+rule, ``_crossing``, on a mask of the segments that meet a level.
 
 The driver cuts the groups into blocks of at most ``_BLOCK_VERTICES``
 vertices per array (2^16, at least one path), draws a block's rows only when
@@ -259,6 +261,25 @@ def _vertex_offsets(a: np.ndarray, k: np.ndarray) -> Tuple[np.ndarray, int]:
     return k * row + np.arange(a.shape[1]) * col, row
 
 
+def _crossing(times: np.ndarray, pos: np.ndarray, segments: np.ndarray, level: float, c: float,
+              tol: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where and when each path first meets a level: the displacement index
+    k + 1 of the first true row k of ``segments``, a (rows, m) mask true on
+    the segments from vertex k to k + 1 that meet ``level``; the time
+    ``t_k + |level - x_k| / c`` of the meeting, |level - x_k| being the rise
+    or the fall up to it; and whether there is one (k = 0 where not).  With
+    ``tol``, a meeting within ``tol`` of either end of its segment is none.
+    """
+    k, found = _first_rows(segments)
+    at, step = _vertex_offsets(pos, k)
+    tv = times.ravel("K")
+    start = tv[at]
+    hit = start + np.abs(level - pos.ravel("K")[at]) / c
+    if tol is not None:
+        found &= np.minimum(hit - start, tv[at + step] - hit) > tol
+    return k + 1, hit, found
+
+
 class SwitchRows(NamedTuple):
     """A source of switch rows for ``reduce_vertices``.
 
@@ -376,13 +397,10 @@ def first_passage_batch(
     the start, NaN where never reached."""
 
     def reduce(times, pos):
-        hit = pos >= beta
-        idx, reached = _first_rows(hit)
-        idx = np.maximum(idx, 1)  # idx 0: unreached, or already at the level at s = 0
-        # the crossing segment rises from below beta, so its slope is +c
-        at, _ = _vertex_offsets(pos, idx - 1)
-        out = times.ravel("K")[at] + (beta - pos.ravel("K")[at]) / c
-        out[hit[0]] = 0.0
+        if beta <= 0.0:  # every path starts at or above the level
+            return (np.zeros(pos.shape[1]),)
+        # the first vertex at or above the level ends the crossing segment
+        _, out, reached = _crossing(times, pos, pos[1:] >= beta, beta, c)
         out[~reached] = np.nan
         return (out,)
 
@@ -398,10 +416,7 @@ def first_return_batch(
     def reduce(times, pos):
         # a Plus path returns when a vertex position drops to <= 0, and
         # symmetrically for Minus; the first vertex is excluded
-        back = sgn * pos[1:] <= 0.0
-        idx, returned = _first_rows(back)
-        at, _ = _vertex_offsets(pos, idx)  # the returning segment ends at vertex idx + 1
-        out = times.ravel("K")[at] + sgn * pos.ravel("K")[at] / c
+        _, out, returned = _crossing(times, pos, sgn * pos[1:] <= 0.0, 0.0, c)
         out[~returned] = np.nan
         return (out,)
 

@@ -160,6 +160,19 @@ class TestEval:
         assert out == ""
         assert "corner" in err and "switch count" in err
 
+    def test_unallocatable_grid_is_usage_error(self, capsys, monkeypatch):
+        def linspace(lo, hi, count):
+            raise MemoryError(f"Unable to allocate {count * 8 / 2**30:.0f} GiB")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["eval", "--law", "position", "--n", "3", "--x-grid=0:1:100000000000"])
+        out, err = capsys.readouterr()
+        assert (exited.value.code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "telegraph eval: error: argument --x-grid: grid '0:1:100000000000' does not fit "
+            "in memory: Unable to allocate 745 GiB"]
+
     def test_values_are_plain_decimal(self, capsys):
         _, out, _ = run_cli(
             capsys, "eval", "--law", "position", "--n", "2", "--x-grid=-0.9:0.9:7"
@@ -238,6 +251,15 @@ class TestSimulate:
                                "--output", str(tmp_path / "hist.csv"))
         assert code == 0
         assert json.loads(out)["max_abs_z"] < 4.0
+
+    def test_unallocatable_bins_are_usage_error(self, capsys, monkeypatch):
+        def histogram(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(cli, "mc_density_histogram", histogram)
+        code, out, err = run_cli(capsys, "simulate", "--functional", "position", "--n", "3",
+                                 "--range=-1:1", "--reps", "10", "--bins", "100000000000")
+        assert (code, out, err) == (2, "", "error: Unable to allocate 745. GiB\n")
 
     def test_output_file_and_summary(self, capsys, tmp_path):
         target = tmp_path / "hist.csv"
@@ -517,6 +539,8 @@ EXIT_CODES = [
     ("eval --law fpt --beta 1e160 --t 1", 0),
     ("eval --law fpt --v0 - --beta 1e160 --t 1", 0),
     ("eval --law return --s-grid 0:1:3", 2),
+    # c*t underflows to 0, so the law divides by zero: an overflow, and no warning
+    ("eval --law joint --n 3 --beta 0.1 --x 0 --c 1e-300 --t 1e-300", 2),
     # one bin holding every sample has standard error 0 and no z-score
     ("simulate --functional position --n 8 --range=-1:1 --bins 1 --reps 100", 0),
     # simulate without a switch count checks the horizon itself
@@ -542,13 +566,14 @@ EXIT_CODES = [
 ]
 
 
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr before the error line
 @pytest.mark.parametrize("argv,code", EXIT_CODES)
 def test_exit_code_without_traceback(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv.split())
     assert got == code, err
     assert "Traceback" not in err
     if code == 2:
-        assert err.startswith("error: ") and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
 
 
 @pytest.mark.parametrize("argv", [

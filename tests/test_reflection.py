@@ -174,6 +174,24 @@ class TestOneDomainRule:
         with pytest.raises(DegeneratePathError):
             negative_reflect_inverse(TelegraphPath(MINUS, 1.0, switches), ctx)
 
+    @pytest.mark.parametrize("kernel, switches, near, clear", [
+        # positions 0, 0.5, -0.2: the up-crossing of beta = 5e-13 is 5e-13 after the start
+        (reflection.crossings_batch, (0.5,), (1.2, 5e-13), (1.2, 1e-3)),
+        # positions 0, 0.5, 0.25 - 5e-13: the down-crossing of beta = 0.25 at
+        # s = 0.75 is 5e-13 before the horizon
+        (reflection.crossings_batch, (0.5,), (0.75 + 5e-13, 0.25), (0.76, 0.25)),
+        # positions 0, -0.25, 0.25 + 5e-13: the crossing of beta = 0.25 at
+        # s = 0.75 is 5e-13 before the horizon
+        (reflection.zero_return_crossings_batch, (0.25,), (0.75 + 5e-13, 0.25), (0.76, 0.25)),
+    ])
+    def test_cut_near_an_end_of_its_segment_is_degenerate(self, kernel, switches, near, clear):
+        # no other rule rejects these rows: only the cut's own clearance from
+        # the ends of its segment, DEGENERATE_REL_TOL * horizon, does
+        (horizon, beta), row = near, np.array([switches])
+        assert not kernel(row, horizon, 1.0, beta)[4][0]
+        horizon, beta = clear
+        assert kernel(row, horizon, 1.0, beta)[4][0]
+
     def test_endpoint_on_the_level_has_no_preimage(self):
         # positions 0, -0.25, 0.5: the path returns to zero but only reaches
         # beta = 0.5 at the horizon, so it never crosses it
