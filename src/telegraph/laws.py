@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -515,10 +516,40 @@ def return_pdf_unconditional(t, params: MotionParams):
 # the law table and the query interface
 # ---------------------------------------------------------------------------
 
+def _clenshaw(x, c):
+    """The Legendre series with coefficients c at x, by Clenshaw's recurrence
+    in the operation order of numpy's ``legval``."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1, nd = c[-2], c[-1], len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @functools.lru_cache(maxsize=256)
 def _legendre(nodes: int) -> tuple:
-    from numpy.polynomial.legendre import leggauss  # kept off the package import
-    return leggauss(nodes)
+    """Gauss-Legendre nodes and weights on [-1, 1] (Golub and Welsch): the
+    eigenvalues of the symmetric companion matrix of P_nodes, one Newton step,
+    and weights from P_nodes' and P_(nodes-1) at the nodes, symmetrised and
+    scaled to total 2.  These are the steps and the operation order of numpy's
+    ``leggauss``, so the rule is the same to the bit, without importing
+    ``numpy.polynomial``.  ``nodes`` is not checked here: every caller in the
+    package passes n // 2 + 2 or ``_MAX_NODES``, so at least 2."""
+    k = np.arange(nodes)
+    scale = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scale[:-1] * scale[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p = np.zeros(nodes + 1)
+    p[-1] = 1.0  # P_nodes
+    dp = np.where((nodes - k) % 2, 2.0 * k + 1, 0.0)  # P_nodes' = sum (2k + 1) P_k
+    df = _clenshaw(x, dp)
+    x = x - _clenshaw(x, p) / df
+    fm = _clenshaw(x, p[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    return (x - x[::-1]) / 2, w * (2.0 / w.sum())
 
 
 def _gauss(f: Callable[[np.ndarray], np.ndarray], pieces, nodes: int):
@@ -531,7 +562,7 @@ def _gauss(f: Callable[[np.ndarray], np.ndarray], pieces, nodes: int):
     return ((half * f(mid + half * x)) @ w).sum(axis=0)
 
 
-#: Most Gauss-Legendre nodes per support piece of an interval mass (exact to
+#: Most Gauss-Legendre nodes per bin of an interval mass (exact to
 #: degree 127, so to n = 124), and most law points it evaluates at once
 _MAX_NODES, _MAX_POINTS = 64, 1 << 16
 
@@ -567,8 +598,8 @@ class _Law:
     only V(0), into an array function of the free variables; None marks a
     case the law does not have.  ``atoms`` gives the singular rows reported
     beside a grid, as ((beta, x, s), mass, label).  ``n0_at``, where set, labels
-    the single atom of mass 1 that the law reduces to at n = 0.  ``pieces`` gives
-    the support breakpoints on the axis of a law of one free variable.
+    the single atom of mass 1 that the law reduces to at n = 0.  ``support``
+    gives the interval (lo, hi) that holds a law of one free variable.
     """
 
     free: tuple
@@ -578,7 +609,7 @@ class _Law:
     kind: str = "density"
     atoms: Callable[[_Fixed], tuple] = lambda q: ()
     n0_at: Optional[Callable[[_Fixed], str]] = None
-    pieces: Optional[Callable[[_Fixed], tuple]] = None
+    support: Optional[Callable[[_Fixed], tuple]] = None
 
 
 #: (law, joint component or None) -> entry
@@ -587,14 +618,14 @@ LAWS = {
         ("x",), "T(t) = {x}",
         cond=lambda q: lambda x: position_pdf(q.sign, q.n, x, q.t, q.c),
         n0_at=lambda q: f"T(t) = {q.sign * q.c * q.t}",
-        pieces=lambda q: (-(q.c * q.t), q.c * q.t),
+        support=lambda q: (-(q.c * q.t), q.c * q.t),
     ),
     ("max", None): _Law(
         ("beta",), "M(t) = {beta}",
         cond=lambda q: lambda beta: max_pdf(q.v0, q.n, beta, q.t, q.c),
         atoms=lambda q: (((0.0, None, None), max_atom_zero(q.v0, q.n), "M(t) = 0"),),
         n0_at=lambda q: f"M(t) = {q.c * q.t if q.sign > 0 else 0}",
-        pieces=lambda q: (0.0, q.c * q.t),
+        support=lambda q: (0.0, q.c * q.t),
     ),
     ("max_cdf", None): _Law(
         ("beta",), "M(t) <= {beta}", kind="cdf",
@@ -611,21 +642,21 @@ LAWS = {
             q.v0, q.n, beta, q.t, q.c),
         uncond=lambda q: lambda beta: joint_atom_max_equals_position_pdf_unconditional(
             q.v0, beta, q.t, q.params),
-        pieces=lambda q: (0.0, q.c * q.t),
+        support=lambda q: (0.0, q.c * q.t),
     ),
     ("joint", "diagonal"): _Law(
         ("beta",), "M = {beta}, T = 2M - ct",
         cond=lambda q: lambda beta: joint_atom_diagonal_pdf(q.v0, q.n, beta, q.t, q.c),
         uncond=lambda q: lambda beta: joint_atom_diagonal_pdf_unconditional(
             q.v0, beta, q.t, q.params),
-        pieces=lambda q: (0.0, q.c * q.t),
+        support=lambda q: (0.0, q.c * q.t),
     ),
     ("joint", "max_zero"): _Law(
         ("x",), "M = 0, T = {x}",
         cond=lambda q: lambda x: joint_atom_max_zero_pdf(q.v0, q.n, x, q.t, q.c),
         uncond=lambda q: lambda x: joint_atom_max_zero_pdf_unconditional(
             q.v0, x, q.t, q.params),
-        pieces=lambda q: (-(q.c * q.t), 0.0),
+        support=lambda q: (-(q.c * q.t), 0.0),
     ),
     ("joint", "corner"): _Law(
         (),
@@ -644,18 +675,18 @@ LAWS = {
         atoms=lambda q: (((q.beta, None, q.beta / q.c), (
             fpt_atom_unconditional(q.v0, q.beta, q.params) if q.n is None
             else fpt_atom(q.v0, q.n, q.beta, q.t, q.c)), f"F_beta = {q.beta / q.c}"),),
-        pieces=lambda q: (min(q.beta / q.c, q.t), q.t),
+        support=lambda q: (min(q.beta / q.c, q.t), q.t),
     ),
     ("return", None): _Law(
         ("s",), "F_0 = {s}",
         cond=lambda q: lambda s: return_pdf_corrected(q.n, s, q.t),
         uncond=lambda q: lambda: return_pdf_unconditional(q.t, q.params),
-        pieces=lambda q: (0.0, q.t),
+        support=lambda q: (0.0, q.t),
     ),
     ("return_printed", None): _Law(
         ("s",), "F_0 = {s}",
         cond=lambda q: lambda s: return_pdf_printed(q.n, s, q.t),
-        pieces=lambda q: (0.0, q.t),
+        support=lambda q: (0.0, q.t),
     ),
 }
 
@@ -667,7 +698,8 @@ class Resolved:
     ``pdf`` is an array function of the free variables ``free``.  ``at``
     labels a value, field i taking free variable i.  ``atoms`` are the
     singular rows reported beside a grid, as ((beta, x, s), mass, label).
-    ``pieces`` are its support breakpoints, None where it has no interval mass.
+    ``support`` is the interval (lo, hi) that holds it, None where it has no
+    interval mass.
     """
 
     law: str
@@ -677,48 +709,62 @@ class Resolved:
     at: str
     pdf: Callable[..., np.ndarray]
     atoms: tuple
-    pieces: Optional[tuple]
+    support: Optional[tuple]
 
     def values(self, *arrays) -> np.ndarray:
-        """The law on the broadcast free-variable arrays, range-checked; an
+        """The law on the broadcast free-variable arrays.  The points are
+        checked here, each to be finite, and the values by ``_values``; an
         error names the first point that fails."""
-        arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in arrays))
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
         for var, a in zip(self.free, arrays):
             if not np.isfinite(a).all():
                 raise ValueError(f"law {self.law} needs a finite {var}, got {a[~np.isfinite(a)][0]}")
+        return self._values(*arrays)
+
+    def _values(self, *arrays) -> np.ndarray:
+        """The law on finite float arrays, which the caller has checked.  A
+        finite value in range passes one reduction; only when some value fails
+        is the first failing point looked for, and an infinite or NaN value
+        reported before one out of range."""
+        if len({a.shape for a in arrays}) > 1:
+            arrays = np.broadcast_arrays(*arrays)
+        shape = arrays[0].shape if arrays else ()
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 values = self.pdf(*arrays)
         except OverflowError:
             raise _overflow(self.law, self.n) from None
-        values = np.broadcast_to(values, np.broadcast_shapes(*(a.shape for a in arrays)))
+        if not (isinstance(values, np.ndarray) and values.shape == shape):
+            values = np.broadcast_to(values, shape)
+        top = sys.float_info.max if self.kind == "density" else 1 + 1e-12
+        if ((values >= 0) & (values <= top)).all():  # false at NaN too
+            return values
         if not np.isfinite(values).all():
             raise _overflow(self.law, self.n)
-        bad = (values < 0) | ((values > 1 + 1e-12) & (self.kind != "density"))
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            point = [a.flat[i] for a in arrays]
-            _check_range(self.kind, values.flat[i], self.at.format(*point))
-        return values
+        i = np.flatnonzero((values < 0) | (values > top))[0]
+        _check_range(self.kind, values.flat[i], self.at.format(*(a.flat[i] for a in arrays)))
 
     def mass(self, edges) -> np.ndarray:
         """Mass of each bin [edges[i], edges[i+1]) of a histogram, the last bin
         closed, as ``np.histogram`` bins samples: the atoms it would put there,
-        plus a Gauss-Legendre rule on the bin's part of each support piece with
+        plus a Gauss-Legendre rule on the bin's part of the support with
         n // 2 + 2 nodes, at most ``_MAX_NODES`` (exact for a conditional law,
-        a polynomial of degree n - 1 or less on each piece), or ``_MAX_NODES``
-        without n."""
-        if self.pieces is None:
+        a polynomial of degree n - 1 or less there), or ``_MAX_NODES`` without
+        n.  The edges are checked here, once, after clipping to the support: a
+        NaN edge is refused by ``values``, and the nodes between finite edges
+        go to ``_values`` unchecked."""
+        if self.support is None:
             raise ValueError(f"law {self.law} has no interval mass")
         edges = np.asarray(edges, dtype=float)
         nodes = _MAX_NODES if self.n is None else min(self.n // 2 + 2, _MAX_NODES)
-        p = np.asarray(self.pieces, dtype=float)[:, None]
-        ends = np.clip(edges, p[:-1], p[1:])  # the edges inside each piece
+        ends = edges.clip(*self.support)
+        if not np.isfinite(ends).all():
+            self.values(ends)  # raises, naming the first NaN edge
         out = np.empty(len(edges) - 1)
-        step = max(1, _MAX_POINTS // (nodes * len(ends)))
+        step = max(1, _MAX_POINTS // nodes)
         for i in range(0, len(out), step):
-            part = ends[:, i:i + step + 1]
-            out[i:i + step] = _gauss(self.values, (part[:, :-1], part[:, 1:]), nodes).sum(axis=0)
+            part = ends[i:i + step + 1]
+            out[i:i + step] = _gauss(self._values, (part[:-1], part[1:]), nodes)
         for point, atom, _ in self.atoms:
             at = dict(zip(("beta", "x", "s"), point))[self.free[0]]
             if edges[0] <= at <= edges[-1]:
@@ -757,6 +803,9 @@ def resolve(
         raise ValueError(f"switch count must be >= 0, got {n}")
     q = _Fixed(v0, n, float(t), MotionParams(float(c), float(lam)),
                None if beta is None else float(beta))
+    if not sys.float_info.min <= q.c * q.t <= sys.float_info.max:
+        # every law scales its variable or its value by c*t, which 0 or inf cannot do
+        raise ValueError(f"c*t must be a positive normal float, got c = {q.c} and t = {q.t}")
     if law == "fpt":
         _check_level(q.beta)
     bind = entry.cond if n is not None else entry.uncond
@@ -770,16 +819,16 @@ def resolve(
         free, fields = (), {"s": q.t}
     fields.update({var: f"{{{i}}}" for i, var in enumerate(free)})
     if n == 0 and entry.n0_at is not None:
-        kind, at, pdf, pieces = "atom", entry.n0_at(q), lambda *point: 1.0, None
+        kind, at, pdf, support = "atom", entry.n0_at(q), lambda *point: 1.0, None
     else:
         kind, pdf = entry.kind, bind(q)
         at = entry.at(q) if callable(entry.at) else entry.at.format(**fields)
-        pieces = entry.pieces(q) if entry.pieces and free else None
+        support = entry.support(q) if entry.support and free else None
     try:
         atoms = entry.atoms(q)
     except OverflowError:
         raise _overflow(law, n) from None
     for _, mass, label in atoms:
         _check_range("atom", mass, label)
-    return Resolved(law, n, free, kind, at, pdf, atoms, pieces)
+    return Resolved(law, n, free, kind, at, pdf, atoms, support)
 

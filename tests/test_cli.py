@@ -539,7 +539,7 @@ EXIT_CODES = [
     ("eval --law fpt --beta 1e160 --t 1", 0),
     ("eval --law fpt --v0 - --beta 1e160 --t 1", 0),
     ("eval --law return --s-grid 0:1:3", 2),
-    # c*t underflows to 0, so the law divides by zero: an overflow, and no warning
+    # c*t underflows to 0: refused with c and t named, before any law divides by it
     ("eval --law joint --n 3 --beta 0.1 --x 0 --c 1e-300 --t 1e-300", 2),
     # one bin holding every sample has standard error 0 and no z-score
     ("simulate --functional position --n 8 --range=-1:1 --bins 1 --reps 100", 0),

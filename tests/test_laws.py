@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -692,3 +693,86 @@ class TestQueryInterface:
     def test_negative_switch_count_raises(self):
         with pytest.raises(ValueError):
             laws.resolve("position", "+", -1, **self.FIXED)
+
+    @pytest.mark.parametrize("c, t", [(1e-300, 1e-300), (1e-160, 1e-150), (1e200, 1e200)])
+    def test_scale_c_t_must_be_a_positive_normal_float(self, c, t):
+        with pytest.raises(ValueError) as err:
+            laws.resolve("joint", "+", 3, t, c, 1.0)
+        assert str(err.value) == f"c*t must be a positive normal float, got c = {c} and t = {t}"
+
+    def test_smallest_normal_scale_resolves(self):
+        law = laws.resolve("position", "+", 1, 1.0, np.finfo(float).tiny, 1.0)
+        assert law.values(0.0) == 0.5 / np.finfo(float).tiny
+
+
+class TestFoldedChecks:
+    """``values`` checks its points and ``_values`` its results in one
+    reduction; a failure names the first point that fails, through ``values``
+    and through ``mass`` alike."""
+
+    # the first point past 0.3 on linspace(0, 1, 5) and among the 3 Gauss
+    # nodes on [0, 1] of the n = 3 rule is 0.5
+    POINTS, EDGES, FIRST = np.linspace(0.0, 1.0, 5), [0.0, 1.0], "T(t) = 0.5"
+
+    @staticmethod
+    def position(monkeypatch, kind, bad, later=None):
+        """The n = 3 position law at ct = 1 as a law of ``kind``, with value
+        ``bad`` past x = 0.3 and ``later``, if given, at x = 1."""
+        real = laws.position_pdf
+
+        def patched(sign, n, x, t, c):
+            value = np.where(x > 0.3, bad, real(sign, n, x, t, c))
+            return value if later is None else np.where(x == 1.0, later, value)
+
+        monkeypatch.setattr(laws, "position_pdf", patched)
+        entry = laws.LAWS[("position", None)]
+        monkeypatch.setitem(laws.LAWS, ("position", None), dataclasses.replace(entry, kind=kind))
+        return laws.resolve("position", "+", 3, 1.0, 1.0, 1.0)
+
+    def refusals(self, law, points=None, edges=None):
+        """The messages of ``values`` and ``mass``, each of which must raise."""
+        messages = []
+        for call, arg in ((law.values, self.POINTS if points is None else points),
+                          (law.mass, self.EDGES if edges is None else edges)):
+            with pytest.raises((ValueError, OverflowError)) as err:
+                call(arg)
+            messages.append(str(err.value))
+        return messages
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_or_edge(self, bad):
+        law = laws.resolve("position", "+", 3, 1.0, 1.0, 1.0)
+        got = self.refusals(law, points=[0.2, bad, np.nan], edges=[0.0, np.nan, 1.0])
+        assert got == [f"law position needs a finite x, got {bad}",
+                       "law position needs a finite x, got nan"]
+
+    def test_infinite_edges_clip_to_the_support(self):
+        law = laws.resolve("position", "+", 3, 1.0, 1.0, 1.0)
+        assert law.mass([-np.inf, 0.0, np.inf]).sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_non_finite_result(self):
+        law = laws.resolve("fpt", "+", 1100, 1.0, 1.0, 1.0, beta=0.3)
+        got = self.refusals(law, points=[0.5], edges=[0.3, 1.0])
+        assert got == ["law fpt at n = 1100 overflows a float"] * 2
+
+    def test_non_finite_result_is_reported_before_one_out_of_range(self, monkeypatch):
+        law = self.position(monkeypatch, "density", -1.0, later=np.nan)
+        assert self.refusals(law, edges=[0.0, 1.0, 1.0]) == [
+            "law position at n = 3 overflows a float"] * 2
+
+    @pytest.mark.parametrize("kind, bad, message", [
+        ("density", -1.0, "negative law value -1.0"),
+        ("density", -5e-324, "negative law value -5e-324"),
+        ("cdf", 1 + 1e-11, "cdf value 1.00000000001 exceeds 1"),
+        ("atom", 1.5, "atom value 1.5 exceeds 1"),
+    ])
+    def test_value_out_of_range(self, monkeypatch, kind, bad, message):
+        law = self.position(monkeypatch, kind, bad)
+        assert self.refusals(law) == [f"{message} ({self.FIRST})"] * 2
+
+    @pytest.mark.parametrize("kind, value", [("cdf", 1 + 1e-13), ("atom", 1.0),
+                                             ("density", 1e300), ("density", -0.0)])
+    def test_value_in_range_passes(self, monkeypatch, kind, value):
+        law = self.position(monkeypatch, kind, value)
+        assert law.values(self.POINTS)[-1] == value
+        assert np.isfinite(law.mass(self.EDGES)).all()

@@ -37,6 +37,19 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    "verify --suite all",
+    "simulate --functional position --n 8 --range=-1:1 --bins 20 --reps 2000 --seed 1",
+])
+def test_no_command_imports_numpy_polynomial(argv):
+    # the Gauss-Legendre rule is computed in the package, not by numpy.polynomial
+    code = ("import sys; from telegraph import cli; code = cli.main(sys.argv[1].split()); "
+            "assert 'numpy.polynomial' not in sys.modules; sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code, argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+
+
 def test_readme_quick_tour_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     tour = readme.split("## Library quick tour", 1)[1]

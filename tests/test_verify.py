@@ -51,6 +51,13 @@ class TestGaussRule:
             want = (b ** (d + 1) - a ** (d + 1)) / (d + 1)
             assert got == pytest.approx(want, rel=rel, abs=0.0), d
 
+    @pytest.mark.parametrize("nodes", range(1, 65))
+    def test_rule_is_numpy_leggauss_to_the_bit(self, nodes):
+        from numpy.polynomial.legendre import leggauss
+
+        got, want = laws._legendre(nodes), leggauss(nodes)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
     def test_pieces_add_up(self):
         f = lambda x: abs(x - 0.3) ** 3
         got = laws._gauss(f, (-1.0, 0.3, 2.0), 2)
