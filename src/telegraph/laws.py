@@ -14,20 +14,18 @@ Conventions
   density, t for the passage laws).  Its coefficients are ratios of binomials,
   each computed once per call as one correctly rounded integer division, and
   its large powers are taken on bounded factors such as (1 - u)(1 + u) <= 1.
-  So the position, maximum and joint laws stay finite up to n = 10^4.  The
-  first-passage and return laws stay finite up to n of about 1020; beyond,
-  their largest coefficient leaves the float range and they raise
-  OverflowError.
+  The passage laws mix over N(s), which given N(t) = n is Binomial(n, sigma),
+  with weights formed from logs.  So every conditional law stays finite up to
+  n = 10^4.
 * Evaluators return 0 outside their stated supports.  The single exception is
   a first-passage/return query at s > t, which raises: that region is
   unspecified rather than zero.
 * Unconditional laws are evaluated through the scaled primitive
   exp(-z) * I_r(z), so no intermediate exp overflow can occur.
 * The first passage is read off the maximum, as in the paper's last section:
-  the passage density at s = t given (v0, n), and the unconditional passage
-  density in t, equal c times the density of the line M(t) = T(t) at beta.
-  The unconditional law is computed that way; the conditional one has its own
-  sum, and the relation is one of its checks.
+  the unconditional passage density in t is c times the density of the line
+  M(t) = T(t) at beta, and the conditional one at s is the binomial mixture of
+  c times that line's density at horizon s.
 
 The table ``LAWS`` holds every law a query can name.  ``resolve`` binds a
 query's fixed part once and returns the law as an array function of its free
@@ -208,6 +206,15 @@ def joint_pdf(v0: VelocitySign, n: int, beta, x, t: float, c: float):
     return _on(inside, value / (ct * ct))
 
 
+def _line(k: int, comb: int, b):
+    """ct times the density of the line M = T = b*ct given k >= 1 switches
+    ending upward, as (w, a, e, f) for w (1 - b)^a (1 + b)^e f; comb = C(k, k // 2)."""
+    m, odd = divmod(k, 2)
+    if odd:
+        return comb / 2**k, m, m - 1, 1 + k * b
+    return comb * m / 2 ** (k - 1), m - 1, m - 1, b
+
+
 def joint_atom_max_equals_position_pdf(
     v0: VelocitySign, n: int, beta, t: float, c: float
 ):
@@ -215,16 +222,12 @@ def joint_atom_max_equals_position_pdf(
     when the final velocity is +c: (PLUS, even n) and (MINUS, odd n)."""
     ct = c * t
     beta = _arr(beta)
-    k, odd = divmod(n, 2)
-    if n == 0 or (v0 is VelocitySign.PLUS) == bool(odd):
+    if n == 0 or (v0 is VelocitySign.PLUS) == bool(n % 2):
         return _zero(beta)
     inside = (0.0 <= beta) & (beta <= ct)
     b = beta / ct * inside
-    if odd:
-        value = math.comb(n, k) / 2**n * _bump(b, k, k - 1) * (1 + n * b)
-    else:
-        value = math.comb(n, k) * k / 2 ** (n - 1) * _bump(b, k - 1, k - 1) * b
-    return _on(inside, value / ct)
+    w, a, e, f = _line(n, math.comb(n, n // 2), b)
+    return _on(inside, w * _bump(b, a, e) * f / ct)
 
 
 def joint_atom_diagonal_pdf(v0: VelocitySign, n: int, beta, t: float, c: float):
@@ -395,38 +398,51 @@ def _check_level(beta) -> None:
         raise ValueError(f"level must be > 0, got {np.min(beta)}")
 
 
+def _times(k: int, x):
+    """k * x, and 0 for k = 0 also where x = log 0: a zero power is 1."""
+    return k * x if k else 0.0
+
+
+def _thinned(n: int, sigma, terms):
+    """The sum over (k, g, f) in ``terms``, k increasing, of Bin(k; n, sigma)
+    exp(g) f: a law at horizon s mixed over N(s) ~ Binomial(n, sigma = s/t).
+    A term is one exp of log C(n, k), from the exact integer, plus
+    k log(sigma) + (n - k) log(1 - sigma) + g: no factor leaves the range."""
+    with np.errstate(divide="ignore"):
+        lo, hi = np.log(sigma), np.log1p(-sigma)
+    total, comb, j = 0.0 * sigma, 1, 0  # comb = C(n, j)
+    for k, g, f in terms:
+        while j < k:
+            comb, j = comb * (n - j) // (j + 1), j + 1
+        total = total + np.exp(math.log(comb) + _times(k, lo) + _times(n - k, hi) + g) * f
+    return total
+
+
 def fpt_pdf(v0: VelocitySign, n: int, beta, s, t: float, c: float):
     """Density in s of the first passage across beta > 0 given (v0, N(t) = n).
 
     Support is (beta/c, t]; the region s > t is out of the theory's scope and
-    raises.  In sigma = s/t and b = beta/ct the law is (1/t) times a sum of
-    terms (1 - sigma)^e (sigma - b)^j (sigma + b)^i times a linear factor; the
-    j = 0 term of the negative-start sum has i = -1 and that linear factor is
-    sigma + b, so the support edge sigma = b is regular.
+    raises.  F_beta = s puts the path on the line M(s) = T(s) = beta, and N(s)
+    is Binomial(n, s/t): the law mixes c times that line's density over N(s),
+    whose even values count for a positive start and odd ones for a negative.
     """
     s, beta = _arr(s), _arr(beta)
     _check_horizon(s, t, "first-passage")
     _check_level(beta)
-    if n == 0:
-        return _zero(s, beta)
     inside = s >= beta / c
-    sigma = np.where(inside, s / t, 1.0)
-    b = beta / (c * t) * inside
-    rise = np.maximum(sigma - b, 0.0)  # >= 0 on the closed support
-    if v0 is VelocitySign.PLUS:
-        terms = (
-            math.comb(n, 2 * j) * math.comb(2 * j, j) * j / 2 ** (2 * j - 1)
-            * np.power(1 - sigma, n - 2 * j) * np.power(rise * (sigma + b), j - 1)
-            for j in range(1, n // 2 + 1)
-        )
-        return _on(inside, b * sum(terms, 0.0 * b) / t)
-    terms = (
-        math.comb(n, 2 * j + 1) * math.comb(2 * j + 1, j) / 2 ** (2 * j + 1)
-        * np.power(1 - sigma, n - 1 - 2 * j) * np.power(rise, j)
-        * np.power(sigma + b, j - 1) * (sigma + (2 * j + 1) * b)
-        for j in range((n + 1) // 2)
-    )
-    return _on(inside, sum(terms, 0.0 * b) / t)
+    s = np.where(inside, s, t)  # a stand-in horizon off the support
+    b = beta / (c * s) * inside
+    with np.errstate(divide="ignore"):
+        lo, hi = np.log1p(-b), np.log1p(b)
+    first = 1 if v0 is VelocitySign.MINUS else 2
+
+    def lines(comb=first):  # comb = C(k, k // 2), stepped exactly
+        for k in range(first, n + 1, 2):
+            w, a, e, f = _line(k, comb, b)
+            yield k, math.log(w) + _times(a, lo) + _times(e, hi), f
+            comb = comb * (k + 1) * (k + 2) // ((k // 2 + 1) * ((k + 1) // 2 + 1))
+
+    return _on(inside, _thinned(n, s / t, lines()) / s)
 
 
 def fpt_atom(v0: VelocitySign, n: int, beta: float, t: float, c: float) -> float:
@@ -463,44 +479,45 @@ def fpt_atom_unconditional(v0: VelocitySign, beta: float, params: MotionParams) 
 # return time to the origin
 # ---------------------------------------------------------------------------
 
-def _return_sum(n: int, s, t: float, first: int):
-    """(1/t) sum over j >= first of n!/(j! (j+1)! (n-1-2j)!) / 2^(2j+1)
-    (1 - s/t)^(n-1-2j) (s/t)^(2j): the printed conditional return laws, whose
-    j = 0 term is the inner first-passage atom."""
+def _return(n: int, s, t: float, atom: bool):
+    """n/(2t) times the mixture over i of Bin(2i; n - 1, s/t) C(2i, i)/((i + 1) 4^i),
+    without its i = 0 term, the inner first-passage atom, unless ``atom``."""
     s = _arr(s)
     _check_horizon(s, t, "return-time")
-    if n == 0:
-        return _zero(s)
     inside = s >= 0.0
-    sigma = s / t * inside
-    terms = (
-        math.comb(n, 2 * j + 1) * math.comb(2 * j + 1, j) / 2 ** (2 * j + 1)
-        * np.power(1 - sigma, n - 1 - 2 * j) * np.power(sigma, 2 * j)
-        for j in range(first, (n + 1) // 2)
-    )
-    return _on(inside, sum(terms, 0.0 * sigma) / t)
+
+    def catalans(central=1):  # central = C(2i, i), stepped exactly
+        for i in range((n + 1) // 2):
+            if i or atom:
+                yield 2 * i, math.log(central / (4**i * (i + 1))), 1.0
+            central = central * (4 * i + 2) // (i + 1)
+
+    return _on(inside, n / 2 * _thinned(n - 1, s / t * inside, catalans()) / t)
 
 
 def return_pdf_printed(n: int, s, t: float):
-    """Literal evaluation of the printed conditional return-time densities.
+    """Literal evaluation of the printed conditional return-time densities:
+    ``return_pdf_corrected`` without its i = 0 term, save at n = 1.
 
     The velocity sign is irrelevant.  Note the even-n sums are empty for
     n = 2 and this evaluator faithfully returns 0 there; see
     return_pdf_corrected for the form that matches simulation.
     """
-    return _return_sum(n, s, t, first=1 if n > 1 else 0)
+    return _return(n, s, t, atom=n == 1)
 
 
 def return_pdf_corrected(n: int, s, t: float):
     """Conditional return-time density including the contribution of the
     singular first-passage component in the underlying convolution.
 
-    The inner first-passage law has an atom at the straight-line hit, which
-    fires when the first switch happens at s/2 and contributes
-    n (t - s)^(n-1) / (2 t^n); the printed sums carry only the absolutely
-    continuous part.  This form matches the order-statistics oracle.
+    It is n/(2t) times the mixture over i of Bin(2i; n - 1, s/t)
+    C(2i, i)/((i + 1) 4^i).  The inner first-passage law has an atom at the
+    straight-line hit, which fires when the first switch happens at s/2 and
+    contributes the i = 0 term n (t - s)^(n-1) / (2 t^n); the printed sums
+    carry only the absolutely continuous part.  This form matches the
+    order-statistics oracle.
     """
-    return _return_sum(n, s, t, first=0)
+    return _return(n, s, t, atom=True)
 
 
 def return_pdf_unconditional(t, params: MotionParams):
@@ -729,11 +746,8 @@ class Resolved:
         if len({a.shape for a in arrays}) > 1:
             arrays = np.broadcast_arrays(*arrays)
         shape = arrays[0].shape if arrays else ()
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                values = self.pdf(*arrays)
-        except OverflowError:
-            raise _overflow(self.law, self.n) from None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = self.pdf(*arrays)
         if not (isinstance(values, np.ndarray) and values.shape == shape):
             values = np.broadcast_to(values, shape)
         top = sys.float_info.max if self.kind == "density" else 1 + 1e-12
@@ -824,10 +838,7 @@ def resolve(
         kind, pdf = entry.kind, bind(q)
         at = entry.at(q) if callable(entry.at) else entry.at.format(**fields)
         support = entry.support(q) if entry.support and free else None
-    try:
-        atoms = entry.atoms(q)
-    except OverflowError:
-        raise _overflow(law, n) from None
+    atoms = entry.atoms(q)
     for _, mass, label in atoms:
         _check_range("atom", mass, label)
     return Resolved(law, n, free, kind, at, pdf, atoms, support)

@@ -189,14 +189,19 @@ def run_identity_suite(n_max: int = 8, grid_points: int = 20, seed: int = 0) -> 
         worst = max(worst, float(np.max(np.abs(fd - ref) / np.maximum(1.0, np.abs(ref)))))
     add("max-cdf-time-derivative", worst, 1e-5, "central difference, step 1e-5*t")
 
-    # first-passage density at the horizon: c times the density of the line
-    # M = T(t), then the max-density link
-    add("fpt-at-horizon-closed-form", max([_gap(
-        laws.fpt_pdf(v0, n, levels, t, t, c),
-        c * laws.joint_atom_max_equals_position_pdf(v0, n, levels, t, c),
-    ) for n, v0 in itertools.product(ns, signs)], default=0.0), 1e-12)
+    # the first-passage density is the slope in s of the crossing probability
+    # P{M(s) >= beta}, where N(s) ~ Bin(n, s/t) given n
+    beta, ss, worst = 0.4 * ct, _grid(0.45 * t, 0.95 * t, grid_points), 0.0
+    crossing = lambda v0, n, s: sum(math.comb(n, k) * (s / t) ** k * (1 - s / t) ** (n - k)
+                                    * (1 - laws.max_cdf_value(v0, k, beta, s, c)) for k in range(n + 1))
+    for v0, n in itertools.product(signs, ns):
+        fd = (crossing(v0, n, ss + h) - crossing(v0, n, ss - h)) / (2.0 * h)
+        got = laws.fpt_pdf(v0, n, beta, ss, t, c)
+        worst = max(worst, float(np.max(np.abs(got - fd) / np.maximum(1.0, np.abs(fd)))))
+    add("fpt-vs-crossing-slope", worst, 1e-7, "central difference, step 1e-5*t")
 
-    # for an even count and upward start, that value is (beta/t) * max density
+    # at the horizon, for an even count and upward start, the first-passage
+    # density is (beta/t) times the max density
     add("fpt-at-horizon-vs-max-density", max([_gap(
         laws.fpt_pdf(VelocitySign.PLUS, 2 * k, levels, t, t, c),
         levels / t * laws.max_pdf(VelocitySign.PLUS, 2 * k, levels, t, c),

@@ -101,12 +101,12 @@ class TestEval:
         assert err
 
     def test_overflowing_law_value_is_domain_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "eval", "--law", "fpt", "--n", "1100", "--beta", "0.3", "--s", "0.5"
-        )
+        # at ct = 2.25e-308 the n = 10^4 position density at 0 is about 40/ct
+        code, _, err = run_cli(capsys, "eval", "--law", "position", "--n", "10000",
+                               "--c", "1.5e-154", "--t", "1.5e-154", "--x", "0")
         assert code == 2
         assert err.startswith("error: ")
-        assert "law fpt at n = 1100 overflows a float" in err
+        assert "law position at n = 10000 overflows a float" in err
         assert "Traceback" not in err
 
     def test_unconditional_overflow_names_no_switch_count(self, capsys):

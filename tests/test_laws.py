@@ -130,6 +130,28 @@ def _return_oracle(n, s):
     return printed + Fraction(n, 2) * (1 - s) ** (n - 1)
 
 
+def _passage_mp(n, beta, s):
+    """The sums of ``_fpt_oracle`` (both signs) and ``_return_oracle`` at
+    0 < beta < s < 1, in 50-digit mpmath: each term is the last times its
+    exact coefficient ratio and disc/(1 - s)^2, so a count of 10^4 takes
+    milliseconds.  Returns (fpt upward, fpt downward, return)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        beta, s = mpmath.mpf(beta), mpmath.mpf(s)
+        q, disc = 1 - s, s * s - beta * beta
+        step = disc / (q * q)
+        up, plus = n * (n - 1) / 2 * q ** (n - 2), 0  # j = 1
+        for j in range(1, n // 2 + 1):
+            plus += up
+            up *= (n - 2 * j) * (n - 2 * j - 1) / (4 * j * (j + 1)) * step
+        down, minus, ret = n / 2 * q ** (n - 1), 0, 0  # j = 0
+        for j in range((n + 1) // 2):
+            minus += down * (1 if j == 0 else (s - beta) * (s + (2 * j + 1) * beta) / disc)
+            ret += down * (s * s / disc) ** j
+            down *= (n - 1 - 2 * j) * (n - 2 - 2 * j) / (4 * (j + 1) * (j + 2)) * step
+        return beta * plus, minus, ret
+
+
 def _tail_in_position(v0, n, beta, x, t, c):
     """Density in beta of P{M(t) in dbeta, T(t) < x} given n >= 1 switches,
     for beta in (0, ct) and x in (2*beta - ct, beta): the printed closed form
@@ -148,7 +170,7 @@ def _tail_in_position(v0, n, beta, x, t, c):
 
 F = Fraction
 ORACLE_N = [1, 2, 3, 8, 64, 1021, 1022, 1024, 4097, 10**4]
-PASSAGE_N = [8, 64, 170, 171, 200, 1000]
+PASSAGE_N = [8, 64, 170, 171, 200, 1000, 1021, 1022, 1024]
 
 
 def _points(n, points):
@@ -223,6 +245,16 @@ class TestExactRationalOracle:
             cases += zip(got, (_fpt_oracle(v0, n, beta, s) for s in ss))
         got = laws.return_pdf_corrected(n, grid, 1.0)
         cases += zip(got, (_return_oracle(n, s) for s in ss))
+        _check_oracle(cases)
+
+    @pytest.mark.parametrize("n", [4097, 10**4])
+    def test_first_passage_and_return_at_large_counts(self, n):
+        ss = [0.5, 0.9375, 0.99609375]
+        want = [_passage_mp(n, 0.25, s) for s in ss]
+        cases = []
+        for i, v0 in enumerate((PLUS, MINUS)):
+            cases += zip(laws.fpt_pdf(v0, n, 0.25, np.array(ss), 1.0, 1.0), (w[i] for w in want))
+        cases += zip(laws.return_pdf_corrected(n, np.array(ss), 1.0), (w[2] for w in want))
         _check_oracle(cases)
 
 
@@ -440,6 +472,11 @@ class TestJointLaw:
         assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
+def _binomial_mixture(n, sigma, law):
+    """Sum over k of Bin(k; n, sigma) law(k), in plain floats, for small n."""
+    return sum(math.comb(n, k) * sigma**k * (1 - sigma) ** (n - k) * law(k) for k in range(n + 1))
+
+
 class TestFptLaw:
     def test_atom_at_direct_flight(self):
         # upward start reaches beta at time beta/c iff no switch happens before
@@ -458,6 +495,17 @@ class TestFptLaw:
         assert mass == pytest.approx(
             1.0 - laws.max_cdf_value(v0, n, beta, t, c), abs=1e-9
         )
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 64])
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    def test_cdf_is_the_thinned_max_cdf(self, v0, n):
+        # F_beta <= s iff M(s) >= beta, and N(s) ~ Bin(n, s/t) given N(t) = n;
+        # the mass on (0, s) holds the atom at beta/c
+        beta, t, c = 0.4, 1.3, 0.9
+        law = laws.resolve("fpt", v0.value, n, t, c, 1.0, beta=beta)
+        for s in (0.5, 0.8, 1.2):
+            want = _binomial_mixture(n, s / t, lambda k: 1 - laws.max_cdf_value(v0, k, beta, s, c))
+            assert law.mass([0.0, s])[0] == pytest.approx(want, rel=0.0, abs=1e-12)
 
     def test_vanishes_before_direct_flight_time(self):
         assert laws.fpt_pdf(PLUS, 3, 0.5, 0.3, 1.0, 1.0) == 0.0
@@ -531,6 +579,16 @@ class TestReturnLaw:
         for s in (0.05, 0.5, 0.95):
             assert laws.return_pdf_printed(1, s, 2.0) == pytest.approx(0.25)
             assert laws.return_pdf_corrected(1, s, 2.0) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("n", range(1, 40))
+    def test_cdf_is_thinned(self, n):
+        # a path with k switches by s has not returned iff, started downward,
+        # its maximum is 0, which has probability C(2j, j)/4^j, j = ceil(k/2)
+        t = 1.3
+        law = laws.resolve("return", "+", n, t, 0.9, 1.0)
+        for s in (0.2, 0.65, 1.1):
+            want = _binomial_mixture(n, s / t, lambda k: 1 - laws.max_atom_zero(MINUS, k))
+            assert law.mass([0.0, s])[0] == pytest.approx(want, rel=0.0, abs=1e-12)
 
     def test_unconditional_matches_bessel_form(self):
         from telegraph.bessel import bessel_i_scaled
@@ -751,9 +809,10 @@ class TestFoldedChecks:
         assert law.mass([-np.inf, 0.0, np.inf]).sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_non_finite_result(self):
-        law = laws.resolve("fpt", "+", 1100, 1.0, 1.0, 1.0, beta=0.3)
-        got = self.refusals(law, points=[0.5], edges=[0.3, 1.0])
-        assert got == ["law fpt at n = 1100 overflows a float"] * 2
+        # at ct = 2.25e-308 the n = 10^4 position density near 0 is about 40/ct
+        law = laws.resolve("position", "+", 10**4, 1.5e-154, 1.5e-154, 1.0)
+        got = self.refusals(law, points=[0.0], edges=[0.0, 2.25e-308])
+        assert got == ["law position at n = 10000 overflows a float"] * 2
 
     def test_non_finite_result_is_reported_before_one_out_of_range(self, monkeypatch):
         law = self.position(monkeypatch, "density", -1.0, later=np.nan)
