@@ -208,11 +208,12 @@ def joint_pdf(v0: VelocitySign, n: int, beta, x, t: float, c: float):
 
 def _line(k: int, comb: int, b):
     """ct times the density of the line M = T = b*ct given k >= 1 switches
-    ending upward, as (w, a, e, f) for w (1 - b)^a (1 + b)^e f; comb = C(k, k // 2)."""
+    ending upward, as (w, a, d, f) for w ((1 - b)(1 + b))^a (1 + b)^d f, where
+    d is -1 for odd k and 0 for even k; comb = C(k, k // 2)."""
     m, odd = divmod(k, 2)
     if odd:
-        return comb / 2**k, m, m - 1, 1 + k * b
-    return comb * m / 2 ** (k - 1), m - 1, m - 1, b
+        return comb / 2**k, m, -1, 1 + k * b
+    return comb * m / 2 ** (k - 1), m - 1, 0, b
 
 
 def joint_atom_max_equals_position_pdf(
@@ -226,8 +227,8 @@ def joint_atom_max_equals_position_pdf(
         return _zero(beta)
     inside = (0.0 <= beta) & (beta <= ct)
     b = beta / ct * inside
-    w, a, e, f = _line(n, math.comb(n, n // 2), b)
-    return _on(inside, w * _bump(b, a, e) * f / ct)
+    w, a, d, f = _line(n, math.comb(n, n // 2), b)
+    return _on(inside, w * _bump(b, a, a + d) * f / ct)
 
 
 def joint_atom_diagonal_pdf(v0: VelocitySign, n: int, beta, t: float, c: float):
@@ -403,18 +404,22 @@ def _times(k: int, x):
     return k * x if k else 0.0
 
 
-def _thinned(n: int, sigma, terms):
-    """The sum over (k, g, f) in ``terms``, k increasing, of Bin(k; n, sigma)
-    exp(g) f: a law at horizon s mixed over N(s) ~ Binomial(n, sigma = s/t).
-    A term is one exp of log C(n, k), from the exact integer, plus
-    k log(sigma) + (n - k) log(1 - sigma) + g: no factor leaves the range."""
+def _thinned(n: int, sigma, x, terms):
+    """The sum over (k, c, a, f) in ``terms``, k increasing, of Bin(k; n, sigma)
+    exp(c + a x) f, x a log per point and f per point or None for 1: a law at
+    horizon s mixed over N(s), which given N(t) = n is Binomial(n, s/t).  A
+    term is one exp of log C(n, k), from the exact integer, + c + k log(sigma)
+    + (n - k) log(1 - sigma) + a x, added in that order so the partial sums
+    shrink: logs of factors in range, so none overflows at any n."""
     with np.errstate(divide="ignore"):
         lo, hi = np.log(sigma), np.log1p(-sigma)
     total, comb, j = 0.0 * sigma, 1, 0  # comb = C(n, j)
-    for k, g, f in terms:
+    for k, c, a, f in terms:
         while j < k:
             comb, j = comb * (n - j) // (j + 1), j + 1
-        total = total + np.exp(math.log(comb) + _times(k, lo) + _times(n - k, hi) + g) * f
+        e = math.log(comb) + c + _times(k, lo) + _times(n - k, hi)
+        term = np.exp(e + a * x if a else e)
+        total += term if f is None else term * f
     return total
 
 
@@ -431,18 +436,21 @@ def fpt_pdf(v0: VelocitySign, n: int, beta, s, t: float, c: float):
     _check_level(beta)
     inside = s >= beta / c
     s = np.where(inside, s, t)  # a stand-in horizon off the support
-    b = beta / (c * s) * inside
+    sigma = s / t
+    b = beta / (c * t) / sigma * inside
+    hb = 1 + b
     with np.errstate(divide="ignore"):
-        lo, hi = np.log1p(-b), np.log1p(b)
+        log_y = np.log((1 - b) * hb)
     first = 1 if v0 is VelocitySign.MINUS else 2
 
     def lines(comb=first):  # comb = C(k, k // 2), stepped exactly
         for k in range(first, n + 1, 2):
-            w, a, e, f = _line(k, comb, b)
-            yield k, math.log(w) + _times(a, lo) + _times(e, hi), f
+            w, a, _, f = _line(k, comb, b)
+            yield k, math.log(w), a, f
             comb = comb * (k + 1) * (k + 2) // ((k // 2 + 1) * ((k + 1) // 2 + 1))
 
-    return _on(inside, _thinned(n, s / t, lines()) / s)
+    d = _line(first, first, 0.0)[2]  # one power of 1 + b for every k of this parity
+    return _on(inside, _thinned(n, sigma, log_y, lines()) * _pow(hb, d) / s)
 
 
 def fpt_atom(v0: VelocitySign, n: int, beta: float, t: float, c: float) -> float:
@@ -489,10 +497,10 @@ def _return(n: int, s, t: float, atom: bool):
     def catalans(central=1):  # central = C(2i, i), stepped exactly
         for i in range((n + 1) // 2):
             if i or atom:
-                yield 2 * i, math.log(central / (4**i * (i + 1))), 1.0
+                yield 2 * i, math.log(central / (4**i * (i + 1))), 0, None
             central = central * (4 * i + 2) // (i + 1)
 
-    return _on(inside, n / 2 * _thinned(n - 1, s / t * inside, catalans()) / t)
+    return _on(inside, n / 2 * _thinned(n - 1, s / t * inside, None, catalans()) / t)
 
 
 def return_pdf_printed(n: int, s, t: float):
