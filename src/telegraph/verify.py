@@ -192,12 +192,16 @@ def run_identity_suite(n_max: int = 8, grid_points: int = 20, seed: int = 0) -> 
     # the first-passage density is the slope in s of the crossing probability
     # P{M(s) >= beta}, where N(s) ~ Bin(n, s/t) given n
     beta, ss, worst = 0.4 * ct, _grid(0.45 * t, 0.95 * t, grid_points), 0.0
-    crossing = lambda v0, n, s: sum(math.comb(n, k) * (s / t) ** k * (1 - s / t) ** (n - k)
-                                    * (1 - laws.max_cdf_value(v0, k, beta, s, c)) for k in range(n + 1))
-    for v0, n in itertools.product(signs, ns):
-        fd = (crossing(v0, n, ss + h) - crossing(v0, n, ss - h)) / (2.0 * h)
-        got = laws.fpt_pdf(v0, n, beta, ss, t, c)
-        worst = max(worst, float(np.max(np.abs(got - fd) / np.maximum(1.0, np.abs(fd)))))
+    ends = ss + np.array([[h], [-h]])
+    sigma = ends / t
+    for v0 in signs:
+        above = [1 - laws.max_cdf_value(v0, k, beta, ends, c) for k in range(n_max + 1)]
+        for n in ns:
+            crossing = sum(math.comb(n, k) * sigma**k * (1 - sigma) ** (n - k) * above[k]
+                           for k in range(n + 1))
+            fd = (crossing[0] - crossing[1]) / (2.0 * h)
+            got = laws.fpt_pdf(v0, n, beta, ss, t, c)
+            worst = max(worst, float(np.max(np.abs(got - fd) / np.maximum(1.0, np.abs(fd)))))
     add("fpt-vs-crossing-slope", worst, 1e-7, "central difference, step 1e-5*t")
 
     # at the horizon, for an even count and upward start, the first-passage
