@@ -404,15 +404,15 @@ def _times(k: int, x):
     return k * x if k else 0.0
 
 
-def _thinned(n: int, sigma, x, terms):
+def _thinned(n: int, sigma, y, terms):
     """The sum over (k, c, a, f) in ``terms``, k increasing, of Bin(k; n, sigma)
-    exp(c + a x) f, x a log per point and f per point or None for 1: a law at
-    horizon s mixed over N(s), which given N(t) = n is Binomial(n, s/t).  A
-    term is one exp of log C(n, k), from the exact integer, + c + k log(sigma)
-    + (n - k) log(1 - sigma) + a x, added in that order so the partial sums
+    exp(c) y^a f, with y and f per point, f None for 1: a law at horizon s
+    mixed over N(s), which given N(t) = n is Binomial(n, s/t).  A term is one
+    exp of log C(n, k), from the exact integer, + c + k log(sigma) +
+    (n - k) log(1 - sigma) + a log(y), added in that order so the partial sums
     shrink: logs of factors in range, so none overflows at any n."""
     with np.errstate(divide="ignore"):
-        lo, hi = np.log(sigma), np.log1p(-sigma)
+        lo, hi, x = np.log(sigma), np.log1p(-sigma), np.log(y)
     total, comb, j = 0.0 * sigma, 1, 0  # comb = C(n, j)
     for k, c, a, f in terms:
         while j < k:
@@ -439,8 +439,6 @@ def fpt_pdf(v0: VelocitySign, n: int, beta, s, t: float, c: float):
     sigma = s / t
     b = beta / (c * t) / sigma * inside
     hb = 1 + b
-    with np.errstate(divide="ignore"):
-        log_y = np.log((1 - b) * hb)
     first = 1 if v0 is VelocitySign.MINUS else 2
 
     def lines(comb=first):  # comb = C(k, k // 2), stepped exactly
@@ -450,7 +448,7 @@ def fpt_pdf(v0: VelocitySign, n: int, beta, s, t: float, c: float):
             comb = comb * (k + 1) * (k + 2) // ((k // 2 + 1) * ((k + 1) // 2 + 1))
 
     d = _line(first, first, 0.0)[2]  # one power of 1 + b for every k of this parity
-    return _on(inside, _thinned(n, sigma, log_y, lines()) * _pow(hb, d) / s)
+    return _on(inside, _thinned(n, sigma, (1 - b) * hb, lines()) * _pow(hb, d) / s)
 
 
 def fpt_atom(v0: VelocitySign, n: int, beta: float, t: float, c: float) -> float:
@@ -500,7 +498,7 @@ def _return(n: int, s, t: float, atom: bool):
                 yield 2 * i, math.log(central / (4**i * (i + 1))), 0, None
             central = central * (4 * i + 2) // (i + 1)
 
-    return _on(inside, n / 2 * _thinned(n - 1, s / t * inside, None, catalans()) / t)
+    return _on(inside, n / 2 * _thinned(n - 1, s / t * inside, 1.0, catalans()) / t)
 
 
 def return_pdf_printed(n: int, s, t: float):

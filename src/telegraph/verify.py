@@ -193,12 +193,13 @@ def run_identity_suite(n_max: int = 8, grid_points: int = 20, seed: int = 0) -> 
     # P{M(s) >= beta}, where N(s) ~ Bin(n, s/t) given n
     beta, ss, worst = 0.4 * ct, _grid(0.45 * t, 0.95 * t, grid_points), 0.0
     ends = ss + np.array([[h], [-h]])
-    sigma = ends / t
+    ks = np.arange(n_max + 1)[:, None, None]
+    up, down = (ends / t) ** ks, (1 - ends / t) ** ks
     for v0 in signs:
-        above = [1 - laws.max_cdf_value(v0, k, beta, ends, c) for k in range(n_max + 1)]
+        above = np.array([1 - laws.max_cdf_value(v0, k, beta, ends, c) for k in range(n_max + 1)])
         for n in ns:
-            crossing = sum(math.comb(n, k) * sigma**k * (1 - sigma) ** (n - k) * above[k]
-                           for k in range(n + 1))
+            comb = np.array([math.comb(n, k) for k in range(n + 1)])[:, None, None]
+            crossing = (comb * up[:n + 1] * down[n::-1] * above[:n + 1]).sum(axis=0)
             fd = (crossing[0] - crossing[1]) / (2.0 * h)
             got = laws.fpt_pdf(v0, n, beta, ss, t, c)
             worst = max(worst, float(np.max(np.abs(got - fd) / np.maximum(1.0, np.abs(fd)))))
