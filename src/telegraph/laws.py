@@ -208,12 +208,12 @@ def joint_pdf(v0: VelocitySign, n: int, beta, x, t: float, c: float):
 
 def _line(k: int, comb: int, b):
     """ct times the density of the line M = T = b*ct given k >= 1 switches
-    ending upward, as (w, a, d, f) for w ((1 - b)(1 + b))^a (1 + b)^d f, where
-    d is -1 for odd k and 0 for even k; comb = C(k, k // 2)."""
+    ending upward, as (w, a, f) for w ((1 - b)(1 + b))^a f, over 1 + b for
+    odd k; comb = C(k, k // 2)."""
     m, odd = divmod(k, 2)
     if odd:
-        return comb / 2**k, m, -1, 1 + k * b
-    return comb * m / 2 ** (k - 1), m - 1, 0, b
+        return comb / 2**k, m, 1 + k * b
+    return comb * m / 2 ** (k - 1), m - 1, b
 
 
 def joint_atom_max_equals_position_pdf(
@@ -227,8 +227,8 @@ def joint_atom_max_equals_position_pdf(
         return _zero(beta)
     inside = (0.0 <= beta) & (beta <= ct)
     b = beta / ct * inside
-    w, a, d, f = _line(n, math.comb(n, n // 2), b)
-    return _on(inside, w * _bump(b, a, a + d) * f / ct)
+    w, a, f = _line(n, math.comb(n, n // 2), b)
+    return _on(inside, w * _bump(b, a, a - n % 2) * f / ct)
 
 
 def joint_atom_diagonal_pdf(v0: VelocitySign, n: int, beta, t: float, c: float):
@@ -399,25 +399,21 @@ def _check_level(beta) -> None:
         raise ValueError(f"level must be > 0, got {np.min(beta)}")
 
 
-def _times(k: int, x):
-    """k * x, and 0 for k = 0 also where x = log 0: a zero power is 1."""
-    return k * x if k else 0.0
-
-
 def _thinned(n: int, sigma, y, terms):
     """The sum over (k, c, a, f) in ``terms``, k increasing, of Bin(k; n, sigma)
     exp(c) y^a f, with y and f per point, f None for 1: a law at horizon s
     mixed over N(s), which given N(t) = n is Binomial(n, s/t).  A term is one
     exp of log C(n, k), from the exact integer, + c + k log(sigma) +
     (n - k) log(1 - sigma) + a log(y), added in that order so the partial sums
-    shrink: logs of factors in range, so none overflows at any n."""
+    shrink: logs of factors in range, so none overflows at any n.  A zero
+    power is 1, also of sigma = 0 or 1 - sigma = 0, whose log is -inf."""
     with np.errstate(divide="ignore"):
         lo, hi, x = np.log(sigma), np.log1p(-sigma), np.log(y)
     total, comb, j = 0.0 * sigma, 1, 0  # comb = C(n, j)
     for k, c, a, f in terms:
         while j < k:
             comb, j = comb * (n - j) // (j + 1), j + 1
-        e = math.log(comb) + c + _times(k, lo) + _times(n - k, hi)
+        e = math.log(comb) + c + (k * lo if k else 0.0) + ((n - k) * hi if k < n else 0.0)
         term = np.exp(e + a * x if a else e)
         total += term if f is None else term * f
     return total
@@ -434,21 +430,21 @@ def fpt_pdf(v0: VelocitySign, n: int, beta, s, t: float, c: float):
     s, beta = _arr(s), _arr(beta)
     _check_horizon(s, t, "first-passage")
     _check_level(beta)
-    inside = s >= beta / c
+    edge = beta / c
+    inside = s >= edge
     s = np.where(inside, s, t)  # a stand-in horizon off the support
-    sigma = s / t
-    b = beta / (c * t) / sigma * inside
+    b = edge / s * inside  # <= 1 as edge <= s, so (1 - b) >= 0 also at the edge
     hb = 1 + b
     first = 1 if v0 is VelocitySign.MINUS else 2
 
     def lines(comb=first):  # comb = C(k, k // 2), stepped exactly
         for k in range(first, n + 1, 2):
-            w, a, _, f = _line(k, comb, b)
+            w, a, f = _line(k, comb, b)
             yield k, math.log(w), a, f
             comb = comb * (k + 1) * (k + 2) // ((k // 2 + 1) * ((k + 1) // 2 + 1))
 
-    d = _line(first, first, 0.0)[2]  # one power of 1 + b for every k of this parity
-    return _on(inside, _thinned(n, sigma, (1 - b) * hb, lines()) * _pow(hb, d) / s)
+    mixed = _thinned(n, s / t, (1 - b) * hb, lines())
+    return _on(inside, (mixed / hb if first == 1 else mixed) / s)
 
 
 def fpt_atom(v0: VelocitySign, n: int, beta: float, t: float, c: float) -> float:
@@ -588,11 +584,6 @@ def _gauss(f: Callable[[np.ndarray], np.ndarray], pieces, nodes: int):
 #: Most Gauss-Legendre nodes per bin of an interval mass (exact to
 #: degree 127, so to n = 124), and most law points it evaluates at once
 _MAX_NODES, _MAX_POINTS = 64, 1 << 16
-
-
-def _overflow(law: str, n: Optional[int]) -> OverflowError:
-    where = "given only V(0)" if n is None else f"at n = {n}"
-    return OverflowError(f"law {law} {where} overflows a float")
 
 
 @dataclass
@@ -760,7 +751,8 @@ class Resolved:
         if ((values >= 0) & (values <= top)).all():  # false at NaN too
             return values
         if not np.isfinite(values).all():
-            raise _overflow(self.law, self.n)
+            where = "given only V(0)" if self.n is None else f"at n = {self.n}"
+            raise OverflowError(f"law {self.law} {where} overflows a float")
         i = np.flatnonzero((values < 0) | (values > top))[0]
         _check_range(self.kind, values.flat[i], self.at.format(*(a.flat[i] for a in arrays)))
 

@@ -109,6 +109,19 @@ class TestEval:
         assert "law position at n = 10000 overflows a float" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n", ["3", "4"])
+    @pytest.mark.parametrize("v0", ["+", "-"])
+    def test_fpt_at_its_support_edge(self, capsys, v0, n):
+        # s = beta/c, where a rounded beta/(ct) / (s/t) comes out above 1
+        beta = 0.5527916842167889
+        code, out, err = run_cli(capsys, "eval", "--law", "fpt", "--v0", v0, "--n", n,
+                                 "--t", "1.3", "--c", "0.9", "--beta", repr(beta),
+                                 "--s", repr(beta / 0.9))
+        assert (code, err) == (0, "")
+        assert beta / (0.9 * 1.3) / (beta / 0.9 / 1.3) > 1.0
+        density = next(float(r[10]) for r in parse_csv(out)[1:] if r[9] == "density")
+        assert 0.0 < density < 1.0
+
     def test_unconditional_overflow_names_no_switch_count(self, capsys):
         # at ct = 1e-200 the joint density is of order 1/(ct)^2 = 1e400
         code, _, err = run_cli(capsys, "eval", "--law", "joint", "--v0", "-", "--c", "1e-200",

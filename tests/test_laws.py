@@ -134,7 +134,8 @@ def _passage_mp(n, beta, s):
     """The sums of ``_fpt_oracle`` (both signs) and ``_return_oracle`` at
     0 < beta < s < 1, in 50-digit mpmath: each term is the last times its
     exact coefficient ratio and disc/(1 - s)^2, so a count of 10^4 takes
-    milliseconds.  Returns (fpt upward, fpt downward, return)."""
+    milliseconds.  Returns (fpt upward, fpt downward, return, printed return),
+    the last without the j = 0 term, the inner first-passage atom."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         beta, s = mpmath.mpf(beta), mpmath.mpf(s)
@@ -149,7 +150,7 @@ def _passage_mp(n, beta, s):
             minus += down * (1 if j == 0 else (s - beta) * (s + (2 * j + 1) * beta) / disc)
             ret += down * (s * s / disc) ** j
             down *= (n - 1 - 2 * j) * (n - 2 - 2 * j) / (4 * (j + 1) * (j + 2)) * step
-        return beta * plus, minus, ret
+        return beta * plus, minus, ret, ret - n / 2 * q ** (n - 1)
 
 
 def _tail_in_position(v0, n, beta, x, t, c):
@@ -245,6 +246,8 @@ class TestExactRationalOracle:
             cases += zip(got, (_fpt_oracle(v0, n, beta, s) for s in ss))
         got = laws.return_pdf_corrected(n, grid, 1.0)
         cases += zip(got, (_return_oracle(n, s) for s in ss))
+        got = laws.return_pdf_printed(n, grid, 1.0)
+        cases += zip(got, (_return_oracle(n, s) - F(n, 2) * (1 - s) ** (n - 1) for s in ss))
         _check_oracle(cases)
 
     @pytest.mark.parametrize("n", [4097, 10**4])
@@ -255,6 +258,7 @@ class TestExactRationalOracle:
         for i, v0 in enumerate((PLUS, MINUS)):
             cases += zip(laws.fpt_pdf(v0, n, 0.25, np.array(ss), 1.0, 1.0), (w[i] for w in want))
         cases += zip(laws.return_pdf_corrected(n, np.array(ss), 1.0), (w[2] for w in want))
+        cases += zip(laws.return_pdf_printed(n, np.array(ss), 1.0), (w[3] for w in want))
         _check_oracle(cases)
 
 
@@ -506,6 +510,22 @@ class TestFptLaw:
         for s in (0.5, 0.8, 1.2):
             want = _binomial_mixture(n, s / t, lambda k: 1 - laws.max_cdf_value(v0, k, beta, s, c))
             assert law.mass([0.0, s])[0] == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    def test_finite_at_the_support_edge(self, v0, n):
+        # at s = beta/c and one ulp above it, at the levels where a rounded
+        # beta/(ct) / (s/t) at s = beta/c comes out above 1
+        t, c = 1.3, 0.9
+        beta = np.linspace(0.05, 0.6, 20001) * c * t
+        beta = beta[beta / (c * t) / (beta / c / t) > 1.0]
+        assert beta.size > 5
+        for s in (beta / c, np.nextafter(beta / c, 2.0)):
+            got = laws.fpt_pdf(v0, n, beta, s, t, c)
+            _check_oracle(zip(got, (
+                _fpt_oracle(v0, n, F(b) / (F(c) * F(t)), F(x) / F(t)) / F(t)
+                for b, x in zip(beta, s)
+            )))
 
     def test_vanishes_before_direct_flight_time(self):
         assert laws.fpt_pdf(PLUS, 3, 0.5, 0.3, 1.0, 1.0) == 0.0
