@@ -125,10 +125,8 @@ def cmd_eval(args) -> int:
                                    (f"--{var}-grid", getattr(args, f"{var}_grid")))
              if value is not None and (args.law, option) != ("fpt", "--beta")]
     if extra:
-        horizon = ("; without --n it is a density in the horizon: give the time with --t"
-                   if args.law in ("fpt", "return") and args.n is None else "")
         raise ValueError(f"law {args.law} takes no {', '.join(extra)}; its free variables: "
-                         f"{', '.join(law.free) or 'none'}{horizon}")
+                         f"{', '.join(law.free) or 'none'}")
     grids = []
     for var in law.free:
         grid, point = getattr(args, f"{var}_grid"), getattr(args, var)
@@ -191,15 +189,11 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     v0 = VelocitySign(args.v0)
     params = MotionParams(args.c, getattr(args, "lam"))
-    if args.functional == "fpt" and args.beta is None:
-        print("simulate --functional fpt needs --beta", file=sys.stderr)
-        return 2
-    mass = None  # the conditional law's bin masses, where the law has a density
-    if args.n is not None:
-        law = laws.resolve(args.functional, args.v0, args.n, args.t, args.c, args.lam,
-                           beta=args.beta)
-        if law.kind == "density":
-            mass = law.mass
+    entry = laws.LAWS[args.functional, None]
+    mass = None  # the law's bin masses, where the table has the law for this query
+    if (entry.uncond if args.n is None else entry.cond) is not None:
+        mass = laws.resolve(args.functional, args.v0, args.n, args.t, args.c, args.lam,
+                            beta=args.beta).mass
     seed = _default_seed(args.seed)
     bins = mc_density_histogram(
         args.functional, v0, args.n, params, args.t, args.bins, args.range,

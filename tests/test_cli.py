@@ -89,11 +89,14 @@ class TestEval:
         assert rows[0]["value"] == pytest.approx(0.46875)
 
     def test_unconditional_fpt(self, capsys):
-        code, out, _ = run_cli(capsys, "eval", "--law", "fpt", "--beta", "0.5")
+        # a density in s like the conditional law: five grid rows and the direct flight
+        code, out, _ = run_cli(capsys, "eval", "--law", "fpt", "--beta", "0.5",
+                               "--s-grid", "0:1:5")
         assert code == 0
         rows = parse_csv(out)[1:]
-        density = next(float(r[10]) for r in rows if r[9] == "density")
-        assert density == pytest.approx(0.10086572740845744)
+        assert [r[9] for r in rows] == ["density"] * 5 + ["atom"]
+        assert [r[8] for r in rows] == ["0.0", "0.25", "0.5", "0.75", "1.0", "0.5"]
+        assert float(rows[4][10]) == 0.10086572740845744
 
     def test_missing_free_variable_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--law", "position", "--n", "2")
@@ -205,7 +208,35 @@ class TestSimulate:
         )
         assert code == 2
         assert out == ""
-        assert "beta > 0" in err
+        assert err == f"error: level must be > 0, got {float(beta)}\n"
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    @pytest.mark.parametrize("query", [
+        ("--functional", "fpt", "--beta", "0.5", "--lambda", "3"),
+        ("--functional", "return", "--lambda", "5"),
+    ])
+    def test_unconditional_passage_histograms_score_against_the_law(self, capsys, query, seed):
+        code, out, _ = run_cli(capsys, "simulate", *query, "--range=0:1", "--bins", "4",
+                               "--reps", "2000", "--seed", seed)
+        assert code == 0
+        rows = parse_csv(out)[1:]
+        assert all(row[4] and row[5] for row in rows)
+        assert max(abs(float(row[5])) for row in rows) < 4.0
+
+    @pytest.mark.parametrize("query, hit", [
+        (("--functional", "position", "--range=-1:1"), 3),
+        (("--functional", "position", "--v0", "-", "--range=-1:1"), 0),
+        (("--functional", "max", "--range=-1:1"), 3),
+        (("--functional", "max", "--v0", "-", "--range=-1:1"), 2),
+    ])
+    def test_histogram_without_a_switch_has_a_reference(self, capsys, query, hit):
+        # every path ends at +-ct and tops at ct or 0: one bin of width 0.5 holds all samples
+        code, out, _ = run_cli(capsys, "simulate", *query, "--n", "0", "--bins", "4",
+                               "--reps", "100")
+        assert code == 0
+        rows = parse_csv(out)[1:]
+        assert [float(row[4]) for row in rows] == [2.0 * (i == hit) for i in range(4)]
+        assert [row[5] for row in rows] == ["0.0" if i != hit else "" for i in range(4)]
 
     def test_histogram_csv_schema(self, capsys):
         code, out, _ = run_cli(
@@ -543,15 +574,15 @@ EXIT_CODES = [
     ("kac --c-values 1e200 1e201", 2),
     # t < beta/c = 0.02: the telegraph density is 0, a real failure
     ("kac --t 1e-3", 1),
-    # the unconditional passage laws are densities in the horizon: s is --t
-    ("eval --law fpt --beta 0.5 --s 2", 2),
+    # the unconditional passage laws are densities in s, which do not depend on t
+    ("eval --law fpt --beta 0.5 --s 2", 0),
     # the passage level is checked before the atom it carries
     ("eval --law fpt --beta -0.5 --t 2", 2),
     ("eval --law fpt --n 3 --beta -0.5 --s 0.5", 2),
     # before the direct-flight time beta/c the density is 0, at a level whose square overflows
-    ("eval --law fpt --beta 1e160 --t 1", 0),
-    ("eval --law fpt --v0 - --beta 1e160 --t 1", 0),
-    ("eval --law return --s-grid 0:1:3", 2),
+    ("eval --law fpt --beta 1e160 --t 1 --s 1", 0),
+    ("eval --law fpt --v0 - --beta 1e160 --t 1 --s 1", 0),
+    ("eval --law return --s-grid 0:1:3", 0),
     # c*t underflows to 0: refused with c and t named, before any law divides by it
     ("eval --law joint --n 3 --beta 0.1 --x 0 --c 1e-300 --t 1e-300", 2),
     # one bin holding every sample has standard error 0 and no z-score
@@ -632,10 +663,10 @@ def _direct(law, component, v0, n):
             ("joint", "corner"): ((), lambda: (
                 "atom", math.exp(-LAM * T),
                 f"M = T = {C * T}" if plus else f"M = 0, T = {-C * T}")),
-            ("fpt", None): ((), lambda: (
-                "density", laws.fpt_pdf_unconditional(v0, LEVEL, T, params), f"F_beta = {T}")),
-            ("return", None): ((), lambda: (
-                "density", laws.return_pdf_unconditional(T, params), f"F_0 = {T}")),
+            ("fpt", None): (("s",), lambda s: (
+                "density", laws.fpt_pdf_unconditional(v0, LEVEL, s, params), f"F_beta = {s}")),
+            ("return", None): (("s",), lambda s: (
+                "density", laws.return_pdf_unconditional(s, params), f"F_0 = {s}")),
         }
         found = cases.get((law, component))
         if found is None:
@@ -646,43 +677,42 @@ def _direct(law, component, v0, n):
             atoms = [(LEVEL, None, LEVEL / C, "atom", atom, f"F_beta = {LEVEL / C}")]
         return (*found, atoms)
 
-    if law == "position" and n == 0:
-        return ("x",), lambda x: ("atom", 1.0, f"T(t) = {v0.value_sign * C * T}"), []
-    if law == "max" and n == 0:
-        at = f"M(t) = {C * T}" if plus else "M(t) = 0"
-        found = (("beta",), lambda b: ("atom", 1.0, at))
-    else:
-        found = {
-            ("position", None): (("x",), lambda x: (
-                "density", laws.position_pdf(v0.value_sign, n, x, T, C), f"T(t) = {x}")),
-            ("max", None): (("beta",), lambda b: (
-                "density", laws.max_pdf(v0, n, b, T, C), f"M(t) = {b}")),
-            ("max_cdf", None): (("beta",), lambda b: (
-                "cdf", laws.max_cdf_value(v0, n, b, T, C), f"M(t) <= {b}")),
-            ("joint", "density"): (("beta", "x"), lambda b, x: (
-                "density", laws.joint_pdf(v0, n, b, x, T, C), f"M = {b}, T = {x}")),
-            ("joint", "max_equals_position"): (("beta",), lambda b: (
-                "density", laws.joint_atom_max_equals_position_pdf(v0, n, b, T, C),
-                f"M = T = {b}")),
-            ("joint", "diagonal"): (("beta",), lambda b: (
-                "density", laws.joint_atom_diagonal_pdf(v0, n, b, T, C), f"M = {b}, T = 2M - ct")),
-            ("joint", "max_zero"): (("x",), lambda x: (
-                "density", laws.joint_atom_max_zero_pdf(v0, n, x, T, C), f"M = 0, T = {x}")),
-            ("joint_cdf", None): (("beta", "x"), lambda b, x: (
-                "density", laws.joint_cdf_in_max_pdf(v0, n, b, x, T, C),
-                f"M <= {b}, T(t) = {x}")),
-            ("fpt", None): (("s",), lambda s: (
-                "density", laws.fpt_pdf(v0, n, LEVEL, s, T, C), f"F_beta = {s}")),
-            ("return", None): (("s",), lambda s: (
-                "density", laws.return_pdf_corrected(n, s, T), f"F_0 = {s}")),
-            ("return_printed", None): (("s",), lambda s: (
-                "density", laws.return_pdf_printed(n, s, T), f"F_0 = {s}")),
-        }.get((law, component))
-        if found is None:
-            return None
+    found = {
+        ("position", None): (("x",), lambda x: (
+            "density", laws.position_pdf(v0.value_sign, n, x, T, C), f"T(t) = {x}")),
+        ("max", None): (("beta",), lambda b: (
+            "density", laws.max_pdf(v0, n, b, T, C), f"M(t) = {b}")),
+        ("max_cdf", None): (("beta",), lambda b: (
+            "cdf", laws.max_cdf_value(v0, n, b, T, C), f"M(t) <= {b}")),
+        ("joint", "density"): (("beta", "x"), lambda b, x: (
+            "density", laws.joint_pdf(v0, n, b, x, T, C), f"M = {b}, T = {x}")),
+        ("joint", "max_equals_position"): (("beta",), lambda b: (
+            "density", laws.joint_atom_max_equals_position_pdf(v0, n, b, T, C),
+            f"M = T = {b}")),
+        ("joint", "diagonal"): (("beta",), lambda b: (
+            "density", laws.joint_atom_diagonal_pdf(v0, n, b, T, C), f"M = {b}, T = 2M - ct")),
+        ("joint", "max_zero"): (("x",), lambda x: (
+            "density", laws.joint_atom_max_zero_pdf(v0, n, x, T, C), f"M = 0, T = {x}")),
+        ("joint_cdf", None): (("beta", "x"), lambda b, x: (
+            "density", laws.joint_cdf_in_max_pdf(v0, n, b, x, T, C),
+            f"M <= {b}, T(t) = {x}")),
+        ("fpt", None): (("s",), lambda s: (
+            "density", laws.fpt_pdf(v0, n, LEVEL, s, T, C), f"F_beta = {s}")),
+        ("return", None): (("s",), lambda s: (
+            "density", laws.return_pdf_corrected(n, s, T), f"F_0 = {s}")),
+        ("return_printed", None): (("s",), lambda s: (
+            "density", laws.return_pdf_printed(n, s, T), f"F_0 = {s}")),
+    }.get((law, component))
+    if found is None:
+        return None
     atoms = []
+    # without a switch, the single value of position and max is an atom of mass 1
+    if law == "position" and n == 0:
+        end = v0.value_sign * C * T
+        atoms = [(None, end, None, "atom", 1.0, f"T(t) = {end}")]
     if law == "max":
-        atoms = [(0.0, None, None, "atom", laws.max_atom_zero(v0, n), "M(t) = 0")]
+        atoms = [(C * T, None, None, "atom", 1.0, f"M(t) = {C * T}") if n == 0 and plus
+                 else (0.0, None, None, "atom", laws.max_atom_zero(v0, n), "M(t) = 0")]
     if law == "fpt":
         atom = laws.fpt_atom(v0, n, LEVEL, T, C)
         atoms = [(LEVEL, None, LEVEL / C, "atom", atom, f"F_beta = {LEVEL / C}")]
@@ -716,9 +746,14 @@ def test_eval_rows_equal_direct_law_calls(capsys, law, component, v0, n):
 
 @pytest.mark.parametrize("law", ["fpt", "return"])
 @pytest.mark.parametrize("v0", "+-")
-def test_unconditional_passage_rows_without_s(capsys, law, v0):
-    # a density in the horizon t takes no --s: its one row sits at s = t
-    _check_eval_rows(capsys, law, None, v0, None)
+def test_unconditional_passage_rows_past_the_horizon(capsys, law, v0):
+    # an unconditional passage density does not depend on t, so it holds at s > t
+    _, at_point, _ = _direct(law, None, VelocitySign(v0), None)
+    code, out, _ = run_cli(capsys, *_eval_argv(law, None, v0, None, ()), f"--s-grid={T}:{3 * T}:5")
+    assert code == 0
+    rows = [row for row in eval_rows(out) if row[9] == "density"]
+    assert [float(row[10]) for row in rows] == [at_point(s)[1] for s in np.linspace(T, 3 * T, 5)]
+    assert all(float(row[10]) > 0.0 for row in rows)
 
 
 def _eval_argv(law, component, v0, n, free):
@@ -803,8 +838,6 @@ def test_eval_refuses_variables_the_law_does_not_take(capsys, law, component, v0
             assert f"--{name} or --{name}-grid, not both" in err
             continue
         assert f"its free variables: {', '.join(free) or 'none'}" in err
-        if law in ("fpt", "return") and n is None:
-            assert "--t" in err  # a density in the horizon: its time is --t
 
 
 # ---------------------------------------------------------------------------
@@ -839,11 +872,11 @@ def _filled_csv(argv):
     "--law position --n 2 --x 0.2",
     "--law position --n 2 --x-grid=-1:1:0",  # header only
     "--law joint --n 2 --beta-grid 0:1:0 --x-grid=-1:1:5",  # header only
-    "--law position --n 0 --x-grid=-1:1:4",  # the n = 0 atom label
+    "--law position --n 0 --x-grid=-1:1:4",  # a zero density and the n = 0 atom row
     "--law max --v0 - --n 0 --beta-grid 0:1:4",
     "--law max --v0 - --n 3 --beta-grid 0:1:6",  # an atom row
     "--law fpt --n 3 --beta 0.4 --s-grid 0.4:1:5",
-    "--law fpt --beta 0.4",
+    "--law fpt --beta 0.4 --s-grid 0:2:5",
     "--law joint --component corner",  # no free variable
     "--law joint --v0 - --component corner",
     f"--law position --n 8 --x-grid=-1:1:{cli._BLOCK_ROWS + 3}",  # the block seam

@@ -39,8 +39,6 @@ GRIDS = {"beta": "--beta-grid=-0.1:1.3:8", "x": "--x-grid=-1.3:1.3:7", "s": "--s
 
 def _eval(law, component, v0, n):
     free = laws.LAWS[(law, component)].free
-    if n is None and free == ("s",):
-        free = ()  # the unconditional passage laws are densities in --t
     return " ".join(["eval --law", law, *(["--component", component] if component else []),
                      "--v0", v0, *(["--n", str(n)] if n is not None else []),
                      "--t 1.5 --c 0.9 --lambda 2.5", *(["--beta 0.4"] if law == "fpt" else []),

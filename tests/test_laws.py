@@ -738,10 +738,62 @@ class TestIntervalMass:
         assert law.mass(edges).tolist() == [0.0, 0.0, 0.0, 0.25]
         assert np.histogram([0.5], bins=4, range=(0.0, 0.5))[0].tolist() == [0, 0, 0, 1]
 
-    @pytest.mark.parametrize("query", [
-        ("max_cdf", "+", 3, {}), ("joint", "+", 3, {}), ("fpt", "+", None, {"beta": 0.5}),
-        ("position", "+", 0, {}),
+    @pytest.mark.parametrize("v0, law, edges, want", [
+        ("+", "position", [-0.8, -0.4, 0.0, 0.4, 0.8], [0.0, 0.0, 0.0, 1.0]),
+        ("-", "position", [-0.8, -0.4, 0.0, 0.4, 0.8], [1.0, 0.0, 0.0, 0.0]),
+        ("+", "max", [0.0, 0.4, 0.8], [0.0, 1.0]),
+        ("-", "max", [0.0, 0.4, 0.8], [1.0, 0.0]),
     ])
+    def test_without_a_switch_the_mass_is_one_atom(self, v0, law, edges, want):
+        # at n = 0 the position is +-ct and the maximum ct or 0; ct = 0.8
+        assert laws.resolve(law, v0, 0, 0.5, 1.6, 1.0).mass(edges).tolist() == want
+
+    # the return reference starts past the subnormal floats, where I_1(lam*s)/s
+    # rounds off; [0, 1e-300] holds a mass below 1e-299
+    @pytest.mark.parametrize("law, fixed, start, atom", [
+        ("fpt", {"beta": 0.5}, 0.5, math.exp(-1.5)), ("return", {}, 1e-300, 0.0),
+    ])
+    def test_unconditional_passage_mass_ends_at_the_horizon(self, law, fixed, start, atom):
+        # the density holds past t = 1, but paths end there, and so does the mass
+        law = laws.resolve(law, "+", None, 1.0, 1.0, 3.0, **fixed)
+        assert law.support[1] == 1.0
+        (got,) = law.mass([0.0, 2.0])
+        assert got == pytest.approx(self.simpson(law, start, 1.0) + atom, rel=0.0, abs=1e-12)
+
+    @staticmethod
+    def position_cdf(n, u):
+        """P{T(t) <= u ct} given n switches and V(0) = +c, exactly rounded:
+        (1 + T(t)/ct)/2 is Beta(n // 2 + 1, (n + 1) // 2), whose cdf at a
+        dyadic y = p/q is P{Bin(n, y) > n // 2}, a sum of integer terms
+        C(n, j) p^j (q - p)^(n - j) over q^n."""
+        if abs(u) == 1.0:
+            return float(u > 0)
+        p, q = Fraction((1 + u) / 2).as_integer_ratio()
+        j = n // 2 + 1
+        term, total = math.comb(n, j) * p**j * (q - p) ** (n - j), 0
+        for j in range(j, n + 1):
+            total += term
+            term = term * (n - j) * p // ((j + 1) * (q - p))  # the next term, exactly
+        return float(Fraction(total, q**n))
+
+    @pytest.mark.parametrize("n", [200, 1000, 10**4])
+    def test_many_switches_against_the_exact_position_cdf(self, n):
+        # past n = 124 a bin is cut into pieces of 64 nodes; the edges are dyadic
+        # and gather near 0, where the mass is at large n
+        edges = [-1.0, -2**-3, -2**-6, 0.0, 2**-7, 2**-5, 2**-2, 1.0]
+        got = laws.resolve("position", "+", n, 1.0, 1.0, 1.0).mass(edges)
+        want = np.diff([self.position_cdf(n, u) for u in edges])
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    def test_many_switches_fpt_total_against_the_maximum(self, v0):
+        # P{F_beta <= t} = P{M(t) >= beta}
+        n, beta = 1000, 0.02
+        law = laws.resolve("fpt", v0.value, n, 1.0, 1.0, 1.0, beta=beta)
+        want = 1.0 - laws.max_cdf_value(v0, n, beta, 1.0, 1.0)
+        assert law.mass([0.0, 0.1, 0.5, 1.0]).sum() == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("query", [("max_cdf", "+", 3, {}), ("joint", "+", 3, {})])
     def test_laws_without_an_interval_mass_refuse(self, query):
         law, v0, n, fixed = query
         with pytest.raises(ValueError, match="no interval mass"):
@@ -758,7 +810,8 @@ class TestQueryInterface:
 
     def test_unconditional_fpt_query(self):
         law = laws.resolve("fpt", "+", None, beta=0.5, **self.FIXED)
-        assert law.values() == pytest.approx(0.10086572740845744)
+        assert law.free == ("s",)
+        assert law.values(1.0) == 0.10086572740845744
 
     def test_return_query(self):
         law = laws.resolve("return", "-", 3, **self.FIXED)
