@@ -12,6 +12,7 @@ when the flag is absent.
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -429,9 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser ``main`` reuses; parsing leaves no state in it, so one serves
+#: every call in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OverflowError, MemoryError, OSError, laws.OutOfScopeError) as exc:

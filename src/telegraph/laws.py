@@ -525,11 +525,14 @@ def return_pdf_corrected(n: int, s, t: float):
 
 def return_pdf_unconditional(t, params: MotionParams):
     """Density exp(-lam*t) I_1(lam*t) / t of the first return to the origin;
-    independent of c."""
+    independent of c.  Where exp(-x) I_1(x), x = lam*t, is below the normal
+    floats it keeps only a few bits, so the density there is its limit lam/2:
+    the relative terms -x and x^2/8 of exp(-x) I_1(x)/x are below 1e-307."""
     t = _arr(t)
     inside = t > 0
     t = np.where(inside, t, 1.0)
-    return _on(inside, bessel_i_scaled(1, params.lam * t) / t)
+    scaled = bessel_i_scaled(1, params.lam * t)
+    return _on(inside, np.where(scaled < sys.float_info.min, 0.5 * params.lam, scaled / t))
 
 
 # ---------------------------------------------------------------------------

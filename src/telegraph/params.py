@@ -13,9 +13,10 @@ class VelocitySign(enum.Enum):
     PLUS = "+"
     MINUS = "-"
 
-    @property
-    def value_sign(self) -> int:
-        return 1 if self is VelocitySign.PLUS else -1
+    def __init__(self, value: str):
+        # a plain attribute of each member: the scalar path walks read it once
+        # per path, where a property reaching ``VelocitySign.PLUS`` cost 0.2 us
+        self.value_sign = 1 if value == "+" else -1
 
 
 @dataclass(frozen=True)

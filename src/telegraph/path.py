@@ -2,7 +2,11 @@
 
 A path is fully described by its initial velocity sign, its horizon and the
 ordered switch times in (0, horizon).  Positions are always recomputed from
-these times, never stored, so there is a single source of truth.
+these times, never stored, so there is a single source of truth.  The
+running maximum walks the switch times once, keeping the highest position so
+far, and the running minimum is minus the maximum of the mirror image; both
+add the displacements in the order of ``_vertices``, so they equal the
+extremes of its positions to the bit.
 """
 
 from __future__ import annotations
@@ -75,18 +79,35 @@ def position_at(path: TelegraphPath, s: float, params: MotionParams) -> float:
     return pos + sgn * params.c * (s - prev)
 
 
+def _highest(path: TelegraphPath, sign: int, c: float) -> float:
+    """Highest vertex position of the path started at velocity sign*c, in one
+    walk over the switch times with the float operations of ``_vertices``."""
+    pos = high = prev = 0.0
+    step = sign * c
+    for tau in path.switch_times:
+        pos += step * (tau - prev)
+        if pos > high:
+            high = pos
+        prev = tau
+        step = -step
+    # the last segment ends at the horizon
+    pos += step * (path.horizon - prev)
+    return pos if pos > high else high
+
+
 def running_max(path: TelegraphPath, params: MotionParams) -> float:
     """Maximum position over [0, horizon].
 
     The path is piecewise linear, so the maximum is attained at a vertex.
     """
-    _, pos = _vertices(path, params.c)
-    return max(pos)
+    return _highest(path, path.v0.value_sign, params.c)
 
 
 def running_min(path: TelegraphPath, params: MotionParams) -> float:
-    _, pos = _vertices(path, params.c)
-    return min(pos)
+    # the mirror image started at the opposite velocity takes the negated
+    # floats at every vertex, so the minimum is minus its maximum (0.0 - 0.0
+    # keeps the zero positive)
+    return 0.0 - _highest(path, -path.v0.value_sign, params.c)
 
 
 def first_passage(

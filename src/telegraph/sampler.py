@@ -60,6 +60,7 @@ uses the binomial error of the analytic reference.
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -532,13 +533,10 @@ def mc_probability(
         counts, rows = _chunk_rows(n, params, t, count, rng)
         if counts is not None:
             signs = signs[np.argsort(counts, kind="stable")]  # into group order
-        hits = i = 0
-        for block in _blocks(rows.groups):
-            for k, m in block:
-                for row in rows.draw(k, m).tolist():
-                    hits += bool(event(TelegraphPath(signs[i], t, row), params))
-                    i += 1
-        return hits
+        drawn = chain.from_iterable(rows.draw(k, m).tolist()
+                                    for block in _blocks(rows.groups) for k, m in block)
+        return sum(bool(event(TelegraphPath(sign, t, row), params))
+                   for sign, row in zip(signs.tolist(), drawn))
 
     total = sum(_run_chunks(work, reps, seed, threads))
     p_hat = total / reps
@@ -604,8 +602,8 @@ def mc_density_histogram(
 
     def work(count: int, rng: np.random.Generator) -> np.ndarray:
         vals = fn(v0, _chunk_rows(n, params, t, count, rng)[1], t, params.c)
-        counts, _ = np.histogram(vals[~np.isnan(vals)], bins=bins, range=(lo, hi))
-        return counts
+        # with a range given, np.histogram's own in-range test drops NaN
+        return np.histogram(vals, bins=bins, range=(lo, hi))[0]
 
     counts = sum(_run_chunks(work, reps, seed, threads))
 

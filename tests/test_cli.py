@@ -929,3 +929,38 @@ def test_fpt_level_is_checked_before_its_atom(capsys, query):
     level = float(argv[argv.index("--beta") + 1])
     code, out, err = run_cli(capsys, "eval", "--law", "fpt", *argv)
     assert (code, out, err) == (2, "", f"error: level must be > 0, got {level}\n")
+
+
+#: one call of each subcommand, eval in both formats, and a usage error that
+#: argparse reports itself (exit 2)
+REUSED_PARSER_CALLS = [
+    "eval --law position --n 3 --x-grid=-1:1:5",
+    "eval --law max --v0 - --n 3 --beta-grid 0:1:4 --format json",
+    "simulate --functional max --v0 - --n 3 --range=0:1 --bins 4 --reps 2000 --seed 3",
+    "verify --suite kac",
+    "reflect --beta 0.3 --n 3 --count 3 --seed 5",
+    "kac --format json",
+    "eval --law nosuch --x 0",
+]
+
+
+def _call(capsys, argv):
+    try:
+        code = cli.main(argv.split())
+    except SystemExit as exited:
+        code = exited.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+    # each call twice, the second round in the reverse order
+    calls = REUSED_PARSER_CALLS + REUSED_PARSER_CALLS[::-1]
+    reused = [_call(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == [_call(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in reused[:7]] == [0, 0, 0, 0, 0, 0, 2]
+    assert reused[:7] == reused[7:][::-1]
+    assert "invalid choice: 'nosuch'" in reused[6][2]

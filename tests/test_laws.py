@@ -610,6 +610,15 @@ class TestReturnLaw:
             want = _binomial_mixture(n, s / t, lambda k: 1 - laws.max_atom_zero(MINUS, k))
             assert law.mass([0.0, s])[0] == pytest.approx(want, rel=0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("s", [5e-324, 1e-322, 1e-310, 1e-300])
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    def test_unconditional_at_the_smallest_times(self, s, lam):
+        # exp(-lam s) I_1(lam s)/s = lam/2 e^(-lam s) (1 + (lam s)^2/8 + ...)
+        want = lam / 2 * math.exp(-lam * s) * (1 + (lam * s) ** 2 / 8)
+        got = laws.return_pdf_unconditional(s, MotionParams(1.0, lam))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert laws.resolve("return", "+", None, 1.0, 1.0, lam).values(s) == got
+
     def test_unconditional_matches_bessel_form(self):
         from telegraph.bessel import bessel_i_scaled
 
@@ -748,10 +757,8 @@ class TestIntervalMass:
         # at n = 0 the position is +-ct and the maximum ct or 0; ct = 0.8
         assert laws.resolve(law, v0, 0, 0.5, 1.6, 1.0).mass(edges).tolist() == want
 
-    # the return reference starts past the subnormal floats, where I_1(lam*s)/s
-    # rounds off; [0, 1e-300] holds a mass below 1e-299
     @pytest.mark.parametrize("law, fixed, start, atom", [
-        ("fpt", {"beta": 0.5}, 0.5, math.exp(-1.5)), ("return", {}, 1e-300, 0.0),
+        ("fpt", {"beta": 0.5}, 0.5, math.exp(-1.5)), ("return", {}, 0.0, 0.0),
     ])
     def test_unconditional_passage_mass_ends_at_the_horizon(self, law, fixed, start, atom):
         # the density holds past t = 1, but paths end there, and so does the mass

@@ -4,15 +4,19 @@ Each generated switch row runs alone and tiled to ``_LOOP_MIN_PATHS`` rows,
 so the crossing rule sees both vertex layouts of ``vertices_batch``: one
 path per contiguous column, and one vertex of every path per contiguous row.
 The batch kernels are held to the scalar functionals of ``telegraph.path``,
-which find each crossing by their own segment scan and interpolation.
+which find each crossing by their own segment scan and interpolation, and the
+scalar running extremes to the vertex positions of ``path._vertices``.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from telegraph import reflection, sampler
+from telegraph import path as path_mod, reflection, sampler
 from telegraph.params import MotionParams, VelocitySign
-from telegraph.path import TelegraphPath, first_passage, first_return
+from telegraph.path import (TelegraphPath, first_passage, first_return, running_max,
+                            running_min)
 from telegraph.reflection import CrossingPair
 
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=100)
@@ -92,6 +96,33 @@ def test_cut_points_are_passage_and_return_times_of_path_and_image(path, level):
     assert CrossingPair(int(h), int(l)).image() == CrossingPair(int(j1), int(j2))
     undone = reflection.reflect_inverse_batch(image, [u1], [u2])
     assert np.abs(undone - one).max(initial=0.0) <= TOL
+
+
+@st.composite
+def edge_paths(draw):
+    """A path of n <= 64 switches at c in {0.7, 1, 3}, whose first switch may
+    sit one ulp after 0 and whose last one ulp before t."""
+    t = draw(st.floats(0.25, 4.0))
+    c = draw(st.sampled_from([0.7, 1.0, 3.0]))
+    n = draw(st.integers(0, 64))
+    units = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          min_size=n, max_size=n))
+    row = sorted({s for s in (u * t for u in units) if 0.0 < s < t})
+    if row and draw(st.booleans()):
+        row[0] = math.nextafter(0.0, 1.0)
+    if row and draw(st.booleans()):
+        row[-1] = math.nextafter(t, 0.0)
+    v0 = draw(st.sampled_from([VelocitySign.PLUS, VelocitySign.MINUS]))
+    return TelegraphPath(v0, t, row), MotionParams(c, 1.0)
+
+
+@PROPERTIES
+@given(edge_paths())
+def test_single_pass_extremes_equal_the_vertex_extremes(path_params):
+    path, params = path_params
+    _, pos = path_mod._vertices(path, params.c)
+    assert running_max(path, params).hex() == max(pos).hex()
+    assert running_min(path, params).hex() == min(pos).hex()
 
 
 @PROPERTIES
