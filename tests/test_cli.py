@@ -591,6 +591,8 @@ EXIT_CODES = [
     ("simulate --functional position --range=-1:1 --reps 100 --t 0", 2),
     ("simulate --functional position --range=-1:1 --reps 100 --t -1", 2),
     ("simulate --functional position --range=-1:1 --reps 100 --t nan", 2),
+    # lambda*t underflows to 0: every row has no switch
+    ("simulate --functional max --lambda 1e-200 --t 1e-200 --range=0:1 --bins 2 --reps 10", 0),
     # switch counts that no block of 2^16 vertices holds are refused before drawing
     ("simulate --functional max --lambda 1e9 --range=0:1 --reps 2", 2),
     ("simulate --functional max --lambda 32769 --range=0:1 --reps 2", 2),

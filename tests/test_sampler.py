@@ -18,7 +18,7 @@ from telegraph import (
     sample_conditional,
 )
 from telegraph import laws, reflection, sampler, verify
-from telegraph.path import _vertices
+from telegraph.path import _vertices, validate
 
 PARAMS = MotionParams(c=1.0, lam=1.0)
 PLUS = VelocitySign.PLUS
@@ -51,14 +51,48 @@ class TestPathSampling:
             assert list(path.switch_times) == sorted(path.switch_times)
             assert all(0.0 < s < 2.0 for s in path.switch_times)
 
-    def test_unconditional_count_is_poisson(self):
-        counts = []
-        params = MotionParams(c=1.0, lam=3.0)
-        sampler.mc_probability(lambda path, params: counts.append(len(path.switch_times)),
-                               params, 2.0, 4000, seed=1)
-        mean = np.mean(counts)
-        # lam * t = 6; standard error of the mean ~ sqrt(6/4000)
-        assert mean == pytest.approx(6.0, abs=5.0 * math.sqrt(6.0 / 4000.0))
+    @pytest.mark.parametrize("lam_t", [0.1, 3.0, 30.0, 1000.0, 2.0 ** 15])
+    def test_unconditional_count_is_poisson(self, lam_t):
+        # the counts of 2^20 rows in chunks as the estimators draw them, against the
+        # Poisson pmf from lgamma: mean, variance and a chi-square over cells that
+        # expect at least 5 rows (each tail pooled into its end cell)
+        reps, params = 1 << 20, MotionParams(c=1.0, lam=lam_t / 2.0)
+        groups = sampler._run_chunks(
+            lambda count, rng: sampler._chunk_rows(None, params, 2.0, count, rng).groups,
+            reps, 61, 1)
+        ks, ms = np.array([g for chunk in groups for g in chunk]).T
+        assert ms.sum() == reps
+        mean = (ks * ms).sum() / reps
+        var = (ms * (ks - mean) ** 2).sum() / (reps - 1)
+        assert abs(mean - lam_t) < 5.0 * math.sqrt(lam_t / reps)
+        # Var(sample variance) ~ (mu_4 - sigma^4) / reps = (lam_t + 2 lam_t^2) / reps
+        assert abs(var - lam_t) < 5.0 * math.sqrt((lam_t + 2.0 * lam_t**2) / reps)
+        span = np.arange(ks.max() + 2)
+        pmf = np.exp(span * math.log(lam_t) - lam_t
+                     - np.array([math.lgamma(k + 1.0) for k in span]))
+        expect = reps * pmf
+        cells = np.flatnonzero(expect >= 5.0)
+        first, last = cells[0], cells[-1]
+        observed = np.bincount(ks, weights=ms, minlength=span.size)
+        obs = observed[first : last + 1].copy()
+        exp_ = expect[first : last + 1].copy()
+        obs[0] += observed[:first].sum()
+        exp_[0] += reps * pmf[:first].sum()
+        obs[-1] += observed[last + 1 :].sum()
+        exp_[-1] = reps - exp_[:-1].sum()
+        chi2 = ((obs - exp_) ** 2 / exp_).sum()
+        # Wilson-Hilferty 1 - 1e-6 quantile of chi-square with df = cells - 1
+        df = obs.size - 1
+        bound = df * (1.0 - 2.0 / (9.0 * df) + 4.75 * math.sqrt(2.0 / (9.0 * df))) ** 3
+        assert chi2 < bound, (chi2, df)
+
+    @pytest.mark.parametrize("lam, t", [(1e-200, 1e-200), (5e-324, 1.0)])
+    def test_tiny_rate_draws_no_switch(self, lam, t):
+        # lambda*t underflows to 0, or is the least subnormal, whose k = 1 cell is below
+        # the normal floats: one cell, k = 0
+        rows = sampler._chunk_rows(None, MotionParams(c=1.0, lam=lam), t, 100,
+                                   RngStream(62).generator())
+        assert tuple(rows.groups) == ((0, 100),)
 
     def test_v0_policy_fixed_signs(self):
         starts_minus = lambda path, params: path.v0 is MINUS
@@ -465,19 +499,20 @@ class TestSwitchRowDriver:
 
     @staticmethod
     def _group_histogram(functional, v0, params, reps, seed, bins, value_range, beta):
-        # the per-group layout spelled out: each chunk draws its Poisson counts, then
-        # every count group whole, in increasing count
+        # the per-group layout spelled out: each chunk draws one multinomial over the
+        # Poisson cells, then every nonempty count group whole, in increasing count
         fn = dict(position=sampler.position_batch, max=sampler.running_max_batch,
                   fpt=functools.partial(sampler.first_passage_batch, beta=beta),
                   ret=sampler.first_return_batch)[functional]
+        lo, cells = sampler._poisson_cells(params.lam * 1.0)
         total = np.zeros(bins, dtype=np.int64)
         for i, start in enumerate(range(0, reps, sampler.CHUNK)):
             rng = RngStream(seed, i).generator()
-            counts = rng.poisson(params.lam, size=min(sampler.CHUNK, reps - start))
-            for k in np.unique(counts):
-                sw = sampler.sample_switches_batch(int(k), 1.0, int((counts == k).sum()), rng)
-                vals = fn(v0, sw, 1.0, params.c)
-                total += np.histogram(vals[~np.isnan(vals)], bins=bins, range=value_range)[0]
+            sizes = rng.multinomial(min(sampler.CHUNK, reps - start), cells)
+            for k, m in enumerate(sizes.tolist(), lo):
+                if m:
+                    vals = fn(v0, sampler.sample_switches_batch(k, 1.0, m, rng), 1.0, params.c)
+                    total += np.histogram(vals[~np.isnan(vals)], bins=bins, range=value_range)[0]
         return total
 
     @pytest.mark.parametrize("lam, reps", [(0.1, 3 * 5000), (3.0, 20000), (30.0, 20000),
@@ -496,21 +531,23 @@ class TestSwitchRowDriver:
         assert [b.report.estimate for b in got] == [k / reps / width for k in want]
 
     def test_uniform_start_probability_equals_per_path_reference(self, monkeypatch):
-        # per chunk: the sign coins, the Poisson counts, then each count group whole;
-        # row j of a group is the j-th row of that count in chunk order
+        # per chunk: the sign coins, one multinomial over the Poisson cells, then each
+        # nonempty count group whole; the j-th path in group order takes the j-th coin
         monkeypatch.setattr(sampler, "CHUNK", 1000)
         params, reps = MotionParams(c=1.0, lam=3.0), 2500
+        lo, cells = sampler._poisson_cells(params.lam * 1.0)
         want = []
         for i, start in enumerate(range(0, reps, sampler.CHUNK)):
             rng = RngStream(45, i).generator()
             size = min(sampler.CHUNK, reps - start)
-            plus = rng.random(size) < 0.5
-            counts = rng.poisson(params.lam, size=size)
-            for k in np.unique(counts):
-                sel = counts == k
-                sw = sampler.sample_switches_batch(int(k), 1.0, int(sel.sum()), rng)
-                want += [TelegraphPath(PLUS if up else MINUS, 1.0, row)
-                         for up, row in zip(plus[sel], sw.tolist())]
+            coins = iter((rng.random(size) < 0.5).tolist())
+            sizes = rng.multinomial(size, cells)
+            for k, m in enumerate(sizes.tolist(), lo):
+                if m:
+                    sw = sampler.sample_switches_batch(k, 1.0, m, rng)
+                    want += [TelegraphPath(PLUS if next(coins) else MINUS, 1.0, row)
+                             for row in sw.tolist()]
+            assert next(coins, None) is None
         seen = []
         event = lambda p, params: seen.append(p) or position_at(p, 1.0, params) > 0.1
         got = sampler.mc_probability(event, params, 1.0, reps, v0="uniform", seed=45)
@@ -569,6 +606,44 @@ class TestMcProbability:
             event, PARAMS, 1.0, 20000, v0=MINUS, n=3, seed=1, analytic=expected
         )
         assert abs(rep.z_score) < 4.0
+
+    def test_block_checked_paths_equal_constructor_paths(self):
+        # a block that passes the numpy check builds its paths without validate: each
+        # equals, hashes as and is as frozen as the path the constructor builds
+        seen = []
+        sampler.mc_probability(lambda p, params: seen.append(p), PARAMS, 1.0, 300,
+                               v0="uniform", n=4, seed=10)
+        rng = RngStream(10, 0).generator()
+        coins = (rng.random(300) < 0.5).tolist()
+        rows = sampler.sample_switches_batch(4, 1.0, 300, rng).tolist()
+        want = [TelegraphPath(PLUS if up else MINUS, 1.0, row) for up, row in zip(coins, rows)]
+        assert seen == want
+        assert [hash(p) for p in seen] == [hash(p) for p in want]
+        assert all(type(p) is TelegraphPath and validate(p) is None for p in seen)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seen[0].horizon = 2.0
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.4, 0.7], [0.2, 0.4, 0.4], [0.2, math.nan, 0.7],
+                                     [0.2, 0.4, 1.0], [math.nan], [1.0]])
+    def test_bad_row_raises_the_constructor_message(self, monkeypatch, bad):
+        real = sampler.sample_switches_batch
+
+        def draw(n, t, reps, rng):
+            sw = np.array(real(n, t, reps, rng))
+            sw[reps // 2] = bad
+            return sw
+
+        monkeypatch.setattr(sampler, "sample_switches_batch", draw)
+        with pytest.raises(ValueError) as want:
+            TelegraphPath(MINUS, 1.0, bad)
+        seen = []
+        with pytest.raises(ValueError) as got:
+            sampler.mc_probability(lambda p, params: seen.append(p), PARAMS, 1.0, 40,
+                                   v0=MINUS, n=len(bad), seed=11)
+        assert str(got.value) == str(want.value)
+        # the rows before the bad one reach the event as the constructor's paths
+        rows = real(len(bad), 1.0, 40, RngStream(11, 0).generator()).tolist()
+        assert seen == [TelegraphPath(MINUS, 1.0, row) for row in rows[:20]]
 
 
 class TestMcDensityHistogram:
