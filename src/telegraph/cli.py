@@ -298,7 +298,7 @@ def cmd_reflect(args) -> int:
         count, budget = args.count, 10000 * args.count
         rng = RngStream(_default_seed(args.seed), 77).generator()
         # a round is one vertex block of the driver's draws, drawn when reached
-        rounds = _switch_blocks(_chunk_rows(args.n, params, args.t, budget, rng), args.t)
+        rounds = _switch_blocks(_chunk_rows(args.n, params, args.t, [budget], [rng]), args.t)
     # the records are the first rows of the stream that pass; each round keeps
     # (switches, x, image, round trip, h, l) of its admitted rows
     kept, taken = [], 0

@@ -12,11 +12,11 @@ reduction of vertex arrays run by one driver, ``reduce_vertices``, which
 both draws switch rows and reduces them.  Its input is a source of switch
 rows, :class:`SwitchRows`: (count k, rows m_k) groups in increasing k and a
 ``draw(k, rows)`` that returns the next rows of count k.  A Monte Carlo
-chunk's ``draw`` calls ``sample_switches_batch`` on the chunk's generator;
-an (m, n) array is the one-group source whose ``draw`` slices it, so every
-batch kernel takes either as its ``switches``.  Every crossing time, of the
-first passage and return here and of both reflection cuts, comes from one
-rule, ``_crossing``, on a mask of the segments that meet a level.
+task's ``draw`` fills them from its chunks' generators (see below); an (m, n)
+array is the one-group source whose ``draw`` slices it, so every batch kernel
+takes either as its ``switches``.  Every crossing time, of the first passage
+and return here and of both reflection cuts, comes from one rule,
+``_crossing``, on a mask of the segments that meet a level.
 
 The driver cuts the groups into blocks of at most ``_BLOCK_VERTICES``
 vertices per array (2^16, at least one path), draws a block's rows only when
@@ -52,9 +52,9 @@ Randomness follows a stream contract: a 64-bit seed plus a stream id
 select a reproducible, statistically independent generator (counter-style
 keys, after Salmon et al. 2011).  The Monte Carlo estimators cut ``reps``
 into chunks of ``CHUNK`` rows, the last one holding the remainder, and draw
-chunk i from stream i; threads only schedule chunks and results are reduced
-in chunk order, so an estimate depends only on (seed, reps).  A z-score
-uses the binomial error of the analytic reference.
+chunk i from stream i.  Threads get tasks, runs of consecutive chunks, and
+the integer counts of the tasks are summed, so an estimate depends only on
+(seed, reps).  A z-score uses the binomial error of the analytic reference.
 
 A chunk draws, in order, the sign coins of ``v0="uniform"`` (in
 ``mc_probability``), then, without a switch count, the size of every count
@@ -64,15 +64,24 @@ cached per lambda*t.  The rows' counts are i.i.d. Poisson(lambda*t), and the
 draw takes 4 / 62 / 300 us per 16384-row chunk at lambda*t = 3 / 1000 / 2^15,
 against 960 / 670 / 660 us for a ``rng.poisson`` count per row grouped by
 ``np.unique`` (best of 5, numpy 2.4.6 on 2 cores).  Then each group is drawn
-whole.  ``mc_probability`` calls a Python event per path, which
-holds the interpreter lock, so it runs its chunks on the calling thread
-whatever ``threads`` says; it checks each drawn block once with numpy on the
+whole.  A task, up to 2^16 rows, is one source: group k is every chunk's rows
+of count k in chunk order, drawn into one array from the chunks' generators,
+so the rows are the chunks' own at one draw, sort and kernel pass per block.
+Two threads issuing numpy calls of 2000 / 8000 elements reach 0.47 / 0.63
+times one thread's element rate (``np.minimum``, numpy 2.4.6, 2 cores), and
+a chunk without a switch count splits into about 16 groups of that size, so
+with one chunk per call 2 threads lost to 1.  ``CHUNK`` fixes each stream's
+rows and a block fits a core's L2 cache, so neither changes.
+``mc_probability`` calls a Python event per path, which holds the
+interpreter lock, so it runs its chunks on the calling thread whatever
+``threads`` says; it checks each drawn block once with numpy on the
 conditions of ``path.validate`` and builds the block's paths without
 re-validating them.
 """
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -189,7 +198,18 @@ def sample_switches_batch(
     come back as a Fortran-order view (see the module docstring); longer rows
     are sorted in place by ``sort(axis=1)``.
     """
-    switches = rng.random((reps, n))
+    return _draw_rows([[rng, reps]], n, reps, t)
+
+
+def _draw_rows(parts: list, n: int, rows: int, t: float) -> np.ndarray:
+    """The next ``rows`` sorted switch rows of count n as ``sample_switches_batch``
+    draws them, from the [generator, rows left] pairs of ``parts`` in order."""
+    switches, row = np.empty((rows, n)), 0
+    for part in parts:  # a spent or unreached part draws 0 rows
+        take = min(part[1], rows - row)
+        part[0].random(out=switches[row : row + take])
+        part[1] -= take
+        row += take
     switches *= t
     if n < 2:
         return switches
@@ -197,7 +217,7 @@ def sample_switches_batch(
         switches.sort(axis=1)
         return switches
     cols = switches.T.copy()
-    low = np.empty(reps)
+    low = np.empty(rows)
     for i, j in _NETWORKS[n]:
         np.minimum(cols[i], cols[j], out=low)
         np.maximum(cols[i], cols[j], out=cols[j])
@@ -462,23 +482,28 @@ CHUNK = 1 << 14
 
 
 def _run_chunks(work, reps: int, seed: int, threads: int) -> list:
-    """Results of ``work(count, rng)`` on each chunk of ``reps`` rows, in chunk order.
+    """Results of ``work(counts, rngs)`` on each task of ``reps`` rows, in task order.
 
     Chunk i holds rows ``i*CHUNK`` up to ``min((i+1)*CHUNK, reps)`` and draws
-    from stream i of ``seed``.  Threads only schedule chunks, so the results
-    depend on (seed, reps) alone.
+    from stream i of ``seed`` in whichever task and thread.  A task holds 1 to
+    ``_BLOCK_VERTICES // CHUNK`` consecutive chunks, at most an even share,
+    and runs on one of at most ``threads`` workers, one per task and CPU.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    sizes = [min(CHUNK, reps - start) for start in range(0, reps, CHUNK)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(threads, cpus or 1))
+    rows = CHUNK * max(1, min(_BLOCK_VERTICES // CHUNK, -(-reps // (CHUNK * workers))))
+    tasks = [range(start, min(start + rows, reps), CHUNK) for start in range(0, reps, rows)]
 
-    def run(i: int):
-        return work(sizes[i], RngStream(seed, i).generator())
+    def run(task: range):  # the first rows of the task's chunks
+        return work([min(CHUNK, reps - i) for i in task],
+                    [RngStream(seed, i // CHUNK).generator() for i in task])
 
-    if threads <= 1:
-        return [run(i) for i in range(len(sizes))]
-    with ThreadPoolExecutor(max_workers=min(threads, len(sizes))) as pool:
-        return list(pool.map(run, range(len(sizes))))
+    if workers == 1 or len(tasks) == 1:
+        return [run(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(run, tasks))
 
 
 def _check_counts(n: Optional[int], params: MotionParams, t: float) -> None:
@@ -532,22 +557,25 @@ def _poisson_cells(lam_t: float) -> Tuple[int, np.ndarray]:
 
 
 def _chunk_rows(
-    n: Optional[int], params: MotionParams, t: float, count: int, rng: np.random.Generator
+    n: Optional[int], params: MotionParams, t: float, counts: Sequence[int],
+    rngs: Sequence[np.random.Generator],
 ) -> SwitchRows:
-    """The source of one chunk's switch rows, drawn from ``rng``.
-
-    With ``n=None`` one ``rng.multinomial`` over the cells of
-    ``_poisson_cells(lambda*t)`` gives the number of rows of each count, so
-    the rows' counts are i.i.d. Poisson(lambda*t); the nonempty groups come
-    in increasing count.
+    """The source of a task's switch rows, chunk i holding ``counts[i]`` rows from
+    ``rngs[i]``.  With ``n=None`` each chunk first draws one ``rng.multinomial``
+    over the cells of ``_poisson_cells(lambda*t)``, its number of rows of each
+    count, so the counts are i.i.d. Poisson(lambda*t).  Group k, in increasing
+    k, is every chunk's rows of count k in chunk order, drawn into one array
+    from their generators in that order and sorted once.
     """
-    draw = lambda k, m: sample_switches_batch(k, t, m, rng)
-    if n is not None:
-        return SwitchRows(((n, count),), draw)
-    lo, cells = _poisson_cells(params.lam * t)
-    sizes = rng.multinomial(count, cells)
-    ks = np.flatnonzero(sizes)
-    return SwitchRows(tuple(zip((ks + lo).tolist(), sizes[ks].tolist())), draw)
+    lo, sizes = n, np.array(counts)[:, None]
+    if n is None:
+        lo, cells = _poisson_cells(params.lam * t)
+        sizes = np.array([rng.multinomial(count, cells) for count, rng in zip(counts, rngs)])
+    # the rows of each count still to draw, per generator in chunk order
+    parts = {k + lo: [[rng, m] for rng, m in zip(rngs, sizes[:, k].tolist()) if m]
+             for k in np.flatnonzero(sizes.sum(axis=0)).tolist()}
+    return SwitchRows(tuple((k, sum(m for _, m in q)) for k, q in parts.items()),
+                      lambda k, rows: _draw_rows(parts[k], k, rows, t))
 
 
 def _paths(signs: Sequence[VelocitySign], switches: np.ndarray, t: float):
@@ -593,9 +621,9 @@ def mc_probability(
     i of ``seed``: its sign coins, then (with ``n=None``) one multinomial
     over the Poisson(lambda*t) count cells, then each count group whole, and
     the j-th path in group order takes the j-th coin.  The result depends
-    only on (seed, reps).  The chunks run on the calling thread: the event
-    is a Python call per path and holds the interpreter lock, so a second
-    thread only contends for it, and ``threads`` is accepted but unused.
+    only on (seed, reps).  The chunks run one by one on the calling thread:
+    the event is a Python call per path and holds the interpreter lock, so a
+    second thread only contends for it, and ``threads`` is accepted but unused.
     Each drawn block of switch rows is checked once with numpy on the
     conditions of ``path.validate``, and its paths are built without
     re-validating them; a bad row raises the constructor's ``ValueError``.
@@ -609,13 +637,13 @@ def mc_probability(
     if not uniform:
         v0 = VelocitySign(v0)
 
-    def work(count: int, rng: np.random.Generator) -> int:
+    def chunk(count: int, rng: np.random.Generator) -> int:
         if uniform:
             signs = np.where(rng.random(count) < 0.5, VelocitySign.PLUS,
                              VelocitySign.MINUS).tolist()
         else:
             signs = [v0] * count
-        rows = _chunk_rows(n, params, t, count, rng)
+        rows = _chunk_rows(n, params, t, [count], [rng])
         hits = start = 0
         for k, m in chain.from_iterable(_blocks(rows.groups)):
             paths = _paths(signs[start : start + m], rows.draw(k, m), t)
@@ -623,7 +651,7 @@ def mc_probability(
             start += m
         return hits
 
-    total = sum(_run_chunks(work, reps, seed, 1))
+    total = sum(_run_chunks(lambda counts, rngs: sum(map(chunk, counts, rngs)), reps, seed, 1))
     p_hat = total / reps
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / reps))
     se_ref = 0.0 if analytic is None else np.sqrt(max(analytic * (1.0 - analytic), 0.0) / reps)
@@ -659,7 +687,8 @@ def mc_density_histogram(
     ``functional`` is one of ``position``, ``max``, ``fpt`` (needs a level
     ``beta > 0``), ``return``; undefined values (NaN) fall in no bin.
     Paths are drawn in chunks as in :func:`mc_probability`, on the same
-    domain of switch counts, so the histogram depends only on (seed, reps).
+    domain of switch counts; a worker histograms a task of chunks at a time,
+    and the histogram depends only on (seed, reps).
     Per bin, the density estimate is frequency/width with standard error
     sqrt(p(1-p)/reps)/width, where an empty bin falls back to p = 1/reps.
     ``mass``, where given, maps the bin edges to the law's mass in each bin,
@@ -685,8 +714,8 @@ def mc_density_histogram(
         fn = functools.partial(fn, beta=beta)
     _check_counts(n, params, t)
 
-    def work(count: int, rng: np.random.Generator) -> np.ndarray:
-        vals = fn(v0, _chunk_rows(n, params, t, count, rng), t, params.c)
+    def work(counts: Sequence[int], rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        vals = fn(v0, _chunk_rows(n, params, t, counts, rngs), t, params.c)
         # with a range given, np.histogram's own in-range test drops NaN
         return np.histogram(vals, bins=bins, range=(lo, hi))[0]
 

@@ -58,7 +58,7 @@ class TestPathSampling:
         # expect at least 5 rows (each tail pooled into its end cell)
         reps, params = 1 << 20, MotionParams(c=1.0, lam=lam_t / 2.0)
         groups = sampler._run_chunks(
-            lambda count, rng: sampler._chunk_rows(None, params, 2.0, count, rng).groups,
+            lambda counts, rngs: sampler._chunk_rows(None, params, 2.0, counts, rngs).groups,
             reps, 61, 1)
         ks, ms = np.array([g for chunk in groups for g in chunk]).T
         assert ms.sum() == reps
@@ -90,8 +90,8 @@ class TestPathSampling:
     def test_tiny_rate_draws_no_switch(self, lam, t):
         # lambda*t underflows to 0, or is the least subnormal, whose k = 1 cell is below
         # the normal floats: one cell, k = 0
-        rows = sampler._chunk_rows(None, MotionParams(c=1.0, lam=lam), t, 100,
-                                   RngStream(62).generator())
+        rows = sampler._chunk_rows(None, MotionParams(c=1.0, lam=lam), t, [100],
+                                   [RngStream(62).generator()])
         assert tuple(rows.groups) == ((0, 100),)
 
     def test_v0_policy_fixed_signs(self):
@@ -626,14 +626,16 @@ class TestMcProbability:
     @pytest.mark.parametrize("bad", [[0.0, 0.4, 0.7], [0.2, 0.4, 0.4], [0.2, math.nan, 0.7],
                                      [0.2, 0.4, 1.0], [math.nan], [1.0]])
     def test_bad_row_raises_the_constructor_message(self, monkeypatch, bad):
-        real = sampler.sample_switches_batch
+        # the fault enters where every Monte Carlo draw is made
+        rows = sampler.sample_switches_batch(len(bad), 1.0, 40, RngStream(11, 0).generator())
+        real = sampler._draw_rows
 
-        def draw(n, t, reps, rng):
-            sw = np.array(real(n, t, reps, rng))
-            sw[reps // 2] = bad
+        def draw(parts, n, rows, t):
+            sw = np.array(real(parts, n, rows, t))
+            sw[rows // 2] = bad
             return sw
 
-        monkeypatch.setattr(sampler, "sample_switches_batch", draw)
+        monkeypatch.setattr(sampler, "_draw_rows", draw)
         with pytest.raises(ValueError) as want:
             TelegraphPath(MINUS, 1.0, bad)
         seen = []
@@ -642,8 +644,7 @@ class TestMcProbability:
                                    v0=MINUS, n=len(bad), seed=11)
         assert str(got.value) == str(want.value)
         # the rows before the bad one reach the event as the constructor's paths
-        rows = real(len(bad), 1.0, 40, RngStream(11, 0).generator()).tolist()
-        assert seen == [TelegraphPath(MINUS, 1.0, row) for row in rows[:20]]
+        assert seen == [TelegraphPath(MINUS, 1.0, row) for row in rows[:20].tolist()]
 
 
 class TestMcDensityHistogram:
@@ -817,6 +818,160 @@ class TestChunkedDriver:
                 event, PARAMS, 1.0, reps, v0=MINUS, n=3, seed=22, threads=threads
             )
             assert got.estimate == want
+
+
+def _chunk_layout(reps, seed, n, lam, coins=False):
+    """The per-chunk layout spelled out, independent of the task driver: chunk i draws
+    from stream i its sign coins (where asked), without n its multinomial over the
+    Poisson cells, then each nonempty count group whole.  Yields each chunk's coins (or
+    None) and the sorted switch rows of its groups at t = 1."""
+    lo, cells = sampler._poisson_cells(lam)
+    for i, start in enumerate(range(0, reps, sampler.CHUNK)):
+        rng = RngStream(seed, i).generator()
+        size = min(sampler.CHUNK, reps - start)
+        ups = (rng.random(size) < 0.5).tolist() if coins else None
+        groups = ([(n, size)] if n is not None else
+                  [(k, m) for k, m in enumerate(rng.multinomial(size, cells).tolist(), lo) if m])
+        yield ups, [np.sort(rng.uniform(0.0, 1.0, (m, k)), axis=1) for k, m in groups]
+
+
+class TestTasks:
+    """A task of consecutive chunks is one source; the per-chunk layout is the oracle.
+
+    The oracle tests shrink ``CHUNK`` to 2^9 and ``_BLOCK_VERTICES`` with it, so a task
+    still holds at most 4 chunks and a count group still spans chunks and blocks, at a
+    thirty-second of the rows.  Their reps are 1, CHUNK - 1, CHUNK + 1, 5*CHUNK + 3 and
+    9*CHUNK of the shrunk chunk.
+    """
+
+    REPS = [(0, 1), (1, -1), (1, 1), (5, 3), (9, 0)]
+    COUNTS = [(0, 1.0), (1, 1.0), (4, 1.0), (8, 1.0), (64, 1.0),
+              (None, 0.5), (None, 5.0), (None, 300.0)]
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of each pool ``_run_chunks`` opens; no thread starts."""
+        sizes = []
+
+        class SerialPool:  # stands in for ThreadPoolExecutor, mapping on this thread
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", SerialPool)
+        return sizes
+
+    @staticmethod
+    def _cpus(monkeypatch, cpus):
+        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+
+    @staticmethod
+    def _shrink(monkeypatch, chunks, extra):
+        monkeypatch.setattr(sampler, "CHUNK", 1 << 9)
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 1 << 11)
+        return chunks * sampler.CHUNK + extra
+
+    @pytest.mark.parametrize("threads, cpus, pool, tasks", [
+        (5000, 3, [3], [4, 4, 2]),
+        (5000, 64, [10], [1] * 10),
+        (2, 8, [2], [4, 4, 2]),
+        (8, 4, [4], [3, 3, 3, 1]),
+        (3, 1, [], [4, 4, 2]),
+        (1, 8, [], [4, 4, 2]),
+    ])
+    def test_pool_is_capped_at_tasks_and_cpus(self, monkeypatch, pool_sizes, threads, cpus,
+                                              pool, tasks):
+        self._cpus(monkeypatch, cpus)
+        reps = 9 * sampler.CHUNK + 5
+        got = sampler._run_chunks(lambda counts, rngs: counts, reps, 1, threads)
+        assert pool_sizes == pool
+        assert [len(counts) for counts in got] == tasks
+        assert [m for counts in got for m in counts] == [sampler.CHUNK] * 9 + [5]
+
+    @pytest.mark.parametrize("cpu_count, pool", [(3, [3]), (None, [])])
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch, pool_sizes, cpu_count,
+                                                 pool):
+        monkeypatch.delattr(sampler.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpu_count)
+        sampler._run_chunks(lambda counts, rngs: counts, 9 * sampler.CHUNK + 5, 1, 5000)
+        assert pool_sizes == pool
+
+    def test_capped_pool_keeps_the_estimate(self, monkeypatch, pool_sizes):
+        def estimates(threads):
+            bins = sampler.mc_density_histogram(
+                "return", MINUS, None, MotionParams(c=1.0, lam=5.0), 1.0, bins=20,
+                value_range=(0.0, 1.0), reps=5 * sampler.CHUNK + 3, seed=63, threads=threads)
+            return [b.report.estimate for b in bins]
+
+        want = estimates(1)
+        self._cpus(monkeypatch, 2)
+        assert estimates(5000) == want
+        assert pool_sizes == [2]
+
+    @staticmethod
+    def _histogram(functional, v0, n, lam, reps, seed):
+        fn = dict(max=sampler.running_max_batch,
+                  fpt=functools.partial(sampler.first_passage_batch, beta=0.3))[functional]
+        total = np.zeros(16, dtype=np.int64)
+        for _, groups in _chunk_layout(reps, seed, n, lam):
+            for sw in groups:
+                total += np.histogram(fn(v0, sw, 1.0, 1.0), bins=16, range=(-1.0, 1.0))[0]
+        return (total / reps / (2.0 / 16)).tolist()
+
+    def _estimates(self, functional, v0, n, lam, reps, seed, threads):
+        bins = sampler.mc_density_histogram(
+            functional, v0, n, MotionParams(c=1.0, lam=lam), 1.0, bins=16,
+            value_range=(-1.0, 1.0), reps=reps, seed=seed, threads=threads,
+            beta=0.3 if functional == "fpt" else None)
+        return [b.report.estimate for b in bins]
+
+    @pytest.mark.parametrize("chunks, extra", REPS)
+    @pytest.mark.parametrize("v0", [PLUS, MINUS])
+    @pytest.mark.parametrize("n, lam", COUNTS)
+    def test_histogram_equals_per_chunk_layout(self, monkeypatch, n, lam, v0, chunks, extra):
+        reps = self._shrink(monkeypatch, chunks, extra)
+        # fpt for an upward start: NaN where the level is never reached
+        functional = "fpt" if v0 is PLUS else "max"
+        want = self._histogram(functional, v0, n, lam, reps, 64)
+        # 8 usable CPUs, so each of the thread counts splits the chunks its own way
+        self._cpus(monkeypatch, 8)
+        for threads in (1, 2, 3, 8):
+            assert self._estimates(functional, v0, n, lam, reps, 64, threads) == want, threads
+
+    @pytest.mark.parametrize("n, lam", [(4, 1.0), (None, 5.0)])
+    def test_histogram_equals_per_chunk_layout_in_small_blocks(self, monkeypatch, n, lam):
+        # blocks of 7 * 10 vertices hold no chunk, so a task is one chunk
+        reps = self._shrink(monkeypatch, 5, 3)
+        want = self._histogram("max", MINUS, n, lam, reps, 65)
+        monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 7 * 10)
+        for threads in (1, 3):
+            assert self._estimates("max", MINUS, n, lam, reps, 65, threads) == want
+
+    @pytest.mark.parametrize("chunks, extra", REPS)
+    @pytest.mark.parametrize("v0", [PLUS, MINUS, "uniform"])
+    @pytest.mark.parametrize("n, lam", COUNTS)
+    def test_hits_equal_per_chunk_layout(self, monkeypatch, n, lam, v0, chunks, extra):
+        reps = self._shrink(monkeypatch, chunks, extra)
+        event = lambda p, params: (p.switch_times[-1:] > (0.5,)) == (p.v0 is PLUS)
+        want = 0
+        for ups, groups in _chunk_layout(reps, 66, n, lam, coins=v0 == "uniform"):
+            signs = iter([PLUS if up else MINUS for up in ups] if ups else [v0] * reps)
+            for sw in groups:
+                want += sum(event(TelegraphPath(next(signs), 1.0, row), None)
+                            for row in sw.tolist())
+        # the events run on the calling thread whatever threads says
+        got = sampler.mc_probability(event, MotionParams(c=1.0, lam=lam), 1.0, reps, v0=v0,
+                                     n=n, seed=66, threads=3)
+        assert got.estimate == want / reps
 
 
 class TestFptLevel:
