@@ -821,7 +821,7 @@ class TestChunkedDriver:
 
 
 def _chunk_layout(reps, seed, n, lam, coins=False):
-    """The per-chunk layout spelled out, independent of the task driver: chunk i draws
+    """The per-chunk layout spelled out, independent of ``_run_chunks``: chunk i draws
     from stream i its sign coins (where asked), without n its multinomial over the
     Poisson cells, then each nonempty count group whole.  Yields each chunk's coins (or
     None) and the sorted switch rows of its groups at t = 1."""
@@ -927,7 +927,8 @@ class TestTasks:
                 total += np.histogram(fn(v0, sw, 1.0, 1.0), bins=16, range=(-1.0, 1.0))[0]
         return (total / reps / (2.0 / 16)).tolist()
 
-    def _estimates(self, functional, v0, n, lam, reps, seed, threads):
+    @staticmethod
+    def _estimates(functional, v0, n, lam, reps, seed, threads):
         bins = sampler.mc_density_histogram(
             functional, v0, n, MotionParams(c=1.0, lam=lam), 1.0, bins=16,
             value_range=(-1.0, 1.0), reps=reps, seed=seed, threads=threads,
