@@ -360,18 +360,19 @@ def _blocks(groups: Sequence[Tuple[int, int]]):
         else:
             shared.append((k, m))
             rows += m
-    if shared:
+    if shared or not groups:
         yield shared
 
 
 def _switch_blocks(source: SwitchRows, t: float):
     """Switches of each block of a source, drawn when reached: the rows of a
-    shared block are padded with switches at t to its largest count."""
+    shared block are padded with switches at t to its largest count, and the
+    empty block of an empty source is a (0, 0) array."""
     for block in _blocks(source.groups):
         if len(block) == 1:
             yield source.draw(*block[0])
             continue
-        sw = np.full((sum(m for _, m in block), block[-1][0]), float(t))
+        sw = np.full((sum(m for _, m in block), max((k for k, _ in block), default=0)), float(t))
         row = 0
         for k, m in block:
             sw[row : row + m, :k] = source.draw(k, m)

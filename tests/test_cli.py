@@ -846,15 +846,21 @@ def test_eval_refuses_variables_the_law_does_not_take(capsys, law, component, v0
 # the CSV writer against the row template filled once per point
 
 
-def _filled_csv(argv):
-    """The CSV text of ``eval`` as a row template filled by ``str.format``
-    once per grid point writes it: the oracle of the column writer's bytes."""
+def _eval_query(argv):
+    """The parsed ``eval`` arguments, the resolved law, its grids and its
+    values in ``itertools.product`` order."""
     args = cli.build_parser().parse_args(argv)
     law = laws.resolve(args.law, args.v0, args.n, args.t, args.c, args.lam,
                        args.component, args.beta)
     grids = [[getattr(args, var)] if getattr(args, f"{var}_grid") is None
              else getattr(args, f"{var}_grid").tolist() for var in law.free]
-    values = law.values(*np.meshgrid(*grids, indexing="ij")).ravel().tolist()
+    return args, law, grids, law.values(*np.meshgrid(*grids, indexing="ij")).ravel().tolist()
+
+
+def _filled_csv(argv):
+    """The CSV text of ``eval`` as a row template filled by ``str.format``
+    once per grid point writes it: the oracle of the column writer's bytes."""
+    args, law, grids, values = _eval_query(argv)
     prefix = ",".join(map(cli._csv_cell, (args.law, args.v0, args.n, args.t, args.c, args.lam))) + ","
     slots = {var: f"{{{i}}}" for i, var in enumerate(law.free)}
     row = (prefix + ",".join(slots.get(var, "") for var in ("beta", "x", "s"))
@@ -893,6 +899,61 @@ def test_eval_csv_bytes_equal_filled_template(capsys, tmp_path, query):
     code, out, err = run_cli(capsys, *argv, "--output", str(path))
     assert (code, out) == (0, "")
     assert path.read_bytes() == expected.encode()
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against one dict per row and one json.dumps of the list
+
+
+def _dumped_json(argv):
+    """The JSON text of ``eval`` as one dict per row, dumped whole by
+    ``json.dumps(..., indent=2)``: the oracle of the streamed JSON bytes."""
+    args, law, grids, values = _eval_query(argv)
+    base = {"v0": args.v0, "n": args.n, "law": args.law, "t": args.t, "c": args.c,
+            "lambda": args.lam}
+    if args.law == "joint":
+        base["component"] = args.component
+    rows = [(*map(dict(zip(law.free, point)).get, ("beta", "x", "s")), law.kind, value,
+             law.at.format(*point))
+            for point, value in zip(itertools.product(*grids), values)]
+    rows += [(*cells, "atom", mass, at) for cells, mass, at in law.atoms]
+    keys = ("beta", "x", "s", "kind", "value", "at")
+    return json.dumps([{**base, **dict(zip(keys, row))} for row in rows], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("block_rows", [3, cli._BLOCK_ROWS])
+@pytest.mark.parametrize("query", [
+    "--law position --n 3 --x-grid=0:1:0",  # []
+    "--law max --v0 - --n 3 --beta-grid=0:1:0",  # the atom row alone
+    "--law position --n 2 --x 0.2",
+    "--law position --n 3 --x-grid=-1:1:7",  # blocks of 3, 3 and 1 rows
+    # 7 x 5 in product order, with the quoted label "M = ..., T = ..."
+    "--law joint --v0 - --n 3 --beta-grid 0:1:7 --x-grid=-1:1:5",
+    "--law joint --n 2 --beta-grid 0:1:3 --x-grid=-1:1:3",  # three full blocks of 3
+    "--law max --v0 - --n 3 --beta-grid 0:1:6",  # a block boundary just before the atom row
+    "--law max --v0 - --n 3 --beta-grid 0:1:5",  # the atom row in the second block
+    "--law fpt --n 3 --beta 0.4 --s-grid 0.4:1:5",  # beta null, as it is no free variable
+    "--law joint --v0 - --component corner",  # no free variable
+])
+def test_eval_json_bytes_equal_dumped_rows(capsys, monkeypatch, tmp_path, query, block_rows):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    argv = ["eval", *query.split()]
+    expected = _dumped_json(argv)
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert out == expected
+    path = tmp_path / "rows.json"
+    code, out, err = run_cli(capsys, *argv, "--format", "json", "--output", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == expected.encode()
+    # each object holds the cells of its CSV row, and the component of a joint law
+    code, out, err = run_cli(capsys, *argv)
+    assert out == _filled_csv(argv)
+    objects, rows = json.loads(expected), eval_rows(out)
+    assert len(objects) == len(rows)
+    for obj, row in zip(objects, rows):
+        assert [_cell(obj[key]) for key in EVAL_HEADER] == row
+        assert obj.keys() - set(EVAL_HEADER) == ({"component"} if "joint" in argv else set())
 
 
 def test_range_error_at_last_point_writes_no_file(capsys, monkeypatch, tmp_path):

@@ -488,6 +488,19 @@ class TestSwitchRowDriver:
             want += [*block, (block[-1][0] + 2, sum(m for _, m in block))]
         assert events == want
 
+    def test_empty_source_gives_empty_arrays_of_the_kernel_dtypes(self):
+        # one empty block runs, without a draw, so each output keeps its kernel's dtype
+        empty = sampler.SwitchRows((), lambda k, m: pytest.fail("an empty source drew rows"))
+        kernels = [*self.FUNCTIONALS[:4],
+                   lambda v0, sw: reflection.crossings_batch(sw, 1.3, 0.7, 0.2)]
+        assert [list(b) for b in sampler._blocks(())] == [[]]
+        for kernel in kernels:
+            got, want = (out if isinstance(out, tuple) else (out,)
+                         for out in (kernel(PLUS, empty), kernel(PLUS, self._source(44))))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == (0,) and g.dtype == w.dtype
+
     @pytest.mark.parametrize("dist, args", [("uniform", (0.0, 1.3)), ("poisson", (3.0,)),
                                             ("poisson", (1000.0,))])
     def test_piecewise_draws_equal_one_draw(self, dist, args):
