@@ -261,21 +261,22 @@ def cmd_verify(args) -> int:
 RESIDUAL_TOL = 1e-12
 
 
-def _reflect_records(args, switches, xs, images, residuals, h, l) -> List[str]:
-    """One JSON record per reflected upward-start path: the path and its
-    image, the level and endpoint, both crossing pairs, and the largest
-    switch-time error of the round trip."""
+def _reflect_records(args, switches, xs, images, residuals, h, l) -> Iterable[str]:
+    """One JSON record per reflected upward-start path, made as it is written:
+    the path and its image, the level and endpoint, both crossing pairs, and
+    the largest switch-time error of the round trip."""
     fields = zip(switches.tolist(), images.tolist(), xs.tolist(),
                  map(CrossingPair, h.tolist(), l.tolist()), residuals.tolist())
-    return [json.dumps({
-        "input": {"v0": VelocitySign.PLUS.value, "t": args.t, "switches": row},
-        "output": {"v0": VelocitySign.MINUS.value, "t": args.t, "switches": image},
-        "beta": args.beta,
-        "x": x,
-        "pair": [pair.h, pair.l],
-        "image_pair": [pair.image().h, pair.image().l],
-        "residual": residual,
-    }) for row, image, x, pair, residual in fields]
+    for row, image, x, pair, residual in fields:
+        yield json.dumps({
+            "input": {"v0": VelocitySign.PLUS.value, "t": args.t, "switches": row},
+            "output": {"v0": VelocitySign.MINUS.value, "t": args.t, "switches": image},
+            "beta": args.beta,
+            "x": x,
+            "pair": [pair.h, pair.l],
+            "image_pair": [pair.image().h, pair.image().l],
+            "residual": residual,
+        })
 
 
 def cmd_reflect(args) -> int:

@@ -270,11 +270,19 @@ def reflect_batch(switches: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.nd
     The three groups land in disjoint intervals, so sorting restores switch
     order.  Given a downward-start path's zero-return and beta-crossing
     times, the same map performs the inverse surgery.
+
+    The image is built and sorted in its one output array beside one boolean
+    mask: ``sw - t1`` everywhere, then ``sw`` where not ``sw < t2``, then
+    ``sw + (t2 - t1)`` where ``sw < t1``, the floats of
+    ``np.where(sw < t1, sw + (t2 - t1), np.where(sw < t2, sw - t1, sw))``.
     """
     sw = np.asarray(switches, dtype=float)
     t1 = np.asarray(t1, dtype=float)[:, None]
     t2 = np.asarray(t2, dtype=float)[:, None]
-    out = np.where(sw < t1, sw + (t2 - t1), np.where(sw < t2, sw - t1, sw))
+    out = np.subtract(sw, t1)
+    mask = np.less(sw, t2)
+    np.copyto(out, sw, where=np.logical_not(mask, out=mask))
+    np.add(sw, t2 - t1, out=out, where=np.less(sw, t1, out=mask))
     out.sort(axis=1)
     return out
 

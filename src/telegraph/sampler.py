@@ -52,8 +52,9 @@ Randomness follows a stream contract: a 64-bit seed plus a stream id
 select a reproducible, statistically independent generator (counter-style
 keys, after Salmon et al. 2011).  The Monte Carlo estimators cut ``reps``
 into chunks of ``CHUNK`` rows, the last one holding the remainder, and draw
-chunk i from stream i.  Threads get tasks, runs of consecutive chunks, and
-the integer counts of the tasks are summed, so an estimate depends only on
+chunk i from stream i.  Tasks, runs of consecutive chunks, go in order to
+the calling thread and up to ``threads`` - 1 helper threads, and the integer
+counts of the tasks are summed in task order, so an estimate depends only on
 (seed, reps).  A z-score uses the binomial error of the analytic reference.
 
 A chunk draws, in order, the sign coins of ``v0="uniform"`` (in
@@ -82,9 +83,10 @@ re-validating them.
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
+from threading import Lock, Thread
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -487,8 +489,12 @@ def _run_chunks(work, reps: int, seed: int, threads: int) -> list:
 
     Chunk i holds rows ``i*CHUNK`` up to ``min((i+1)*CHUNK, reps)`` and draws
     from stream i of ``seed`` in whichever task and thread.  A task holds 1 to
-    ``_BLOCK_VERTICES // CHUNK`` consecutive chunks, at most an even share,
-    and runs on one of at most ``threads`` workers, one per task and CPU.
+    ``_BLOCK_VERTICES // CHUNK`` consecutive chunks, at most an even share.
+    The tasks run on w = min(threads, tasks, CPUs) workers: the calling thread
+    and w - 1 helper threads take them in order from one queue.  The first
+    exception of a task, a ``KeyboardInterrupt`` of the caller included,
+    empties the queue, so no later task starts, and is raised here once every
+    helper has ended.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -501,10 +507,38 @@ def _run_chunks(work, reps: int, seed: int, threads: int) -> list:
         return work([min(CHUNK, reps - i) for i in task],
                     [RngStream(seed, i // CHUNK).generator() for i in task])
 
-    if workers == 1 or len(tasks) == 1:
-        return [run(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(run, tasks))
+    results, errors, queue, lock = [None] * len(tasks), [], iter(enumerate(tasks)), Lock()
+
+    def stop() -> None:  # no task starts after this
+        with lock:
+            deque(queue, maxlen=0)
+
+    def worker() -> None:
+        try:
+            while True:
+                with lock:
+                    i, task = next(queue, (None, None))
+                if task is None:
+                    return
+                results[i] = run(task)
+        except BaseException as exc:
+            errors.append(exc)
+            stop()
+
+    helpers = []
+    try:
+        for _ in range(min(workers, len(tasks)) - 1):
+            helper = Thread(target=worker)
+            helper.start()
+            helpers.append(helper)
+        worker()
+    finally:
+        stop()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _check_counts(n: Optional[int], params: MotionParams, t: float) -> None:
@@ -579,6 +613,11 @@ def _chunk_rows(
                       lambda k, rows: _draw_rows(parts[k], k, rows, t))
 
 
+#: Rows that ``_paths`` converts to Python lists at once.  A whole block at
+#: n = 3, 13 107 rows, is about 2 MB of lists, which pymalloc keeps after use.
+_PATH_SLICE = 1024
+
+
 def _paths(signs: Sequence[VelocitySign], switches: np.ndarray, t: float):
     """:class:`TelegraphPath` of each sign and sorted switch row, one at a time.
 
@@ -587,20 +626,22 @@ def _paths(signs: Sequence[VelocitySign], switches: np.ndarray, t: float):
     (NaN fails each).  A block that passes builds its paths without
     re-running ``validate``, by filling each instance's ``__dict__``; one that
     fails builds them by the constructor, which raises its own message at the
-    first bad row.
+    first bad row.  Rows become Python lists ``_PATH_SLICE`` at a time, so a
+    block's rows never exist as one list.
     """
-    rows = switches.tolist()
     if switches.shape[1] and not ((switches[:, 0] > 0.0).all()
                                   and (switches[:, 1:] > switches[:, :-1]).all()
                                   and (switches[:, -1] < t).all()):
-        yield from map(TelegraphPath, signs, repeat(t), rows)
+        yield from map(TelegraphPath, signs, repeat(t), switches.tolist())
         return
     new = object.__new__
-    for sign, row in zip(signs, rows):
-        path = new(TelegraphPath)
-        fields = path.__dict__
-        fields["v0"], fields["horizon"], fields["switch_times"] = sign, t, tuple(row)
-        yield path
+    for start in range(0, len(switches), _PATH_SLICE):
+        stop = start + _PATH_SLICE
+        for sign, row in zip(signs[start:stop], switches[start:stop].tolist()):
+            path = new(TelegraphPath)
+            fields = path.__dict__
+            fields["v0"], fields["horizon"], fields["switch_times"] = sign, t, tuple(row)
+            yield path
 
 
 def mc_probability(

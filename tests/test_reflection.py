@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,60 @@ class TestBatchAgainstScalar:
         x_plus = sampler.position_batch(PLUS, switches[ok], t, c)
         x_minus = sampler.position_batch(MINUS, images, t, c)
         assert x_minus == pytest.approx(2.0 * beta - x_plus, abs=1e-12)
+
+
+def _where_image(switches, t1, t2):
+    """The image as ``np.where`` chains build it: the oracle of ``reflect_batch``."""
+    sw = np.asarray(switches, dtype=float)
+    t1 = np.asarray(t1, dtype=float)[:, None]
+    t2 = np.asarray(t2, dtype=float)[:, None]
+    out = np.where(sw < t1, sw + (t2 - t1), np.where(sw < t2, sw - t1, sw))
+    out.sort(axis=1)
+    return out
+
+
+class TestReflectBatchImage:
+    """``reflect_batch`` builds the floats of the ``np.where`` chain in its one output."""
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_random_rows(self, n):
+        rng = np.random.default_rng(40 + n)
+        t1 = rng.uniform(0.0, 0.6, 3000)
+        t2 = t1 + rng.uniform(0.0, 0.4, 3000)
+        # C-order rows, and the Fortran-order view that the sorting network returns
+        for switches in (np.sort(rng.uniform(0.0, 1.0, (3000, n)), axis=1),
+                         sampler.sample_switches_batch(n, 1.0, 3000, rng)):
+            self._assert_same_bits(reflection.reflect_batch(switches, t1, t2),
+                                   _where_image(switches, t1, t2))
+
+    def test_switch_at_a_cut(self):
+        # a switch at t1 lies inside (t1, t2) shifted to 0; a switch at t2 stays
+        switches = np.array([[0.25, 0.5, 0.75], [0.1, 0.25, 0.75], [0.25, 0.5, 0.75]])
+        t1 = np.array([0.25, 0.1, 0.5])
+        t2 = np.array([0.75, 0.25, 0.75])
+        got = reflection.reflect_batch(switches, t1, t2)
+        self._assert_same_bits(got, _where_image(switches, t1, t2))
+        assert got[0].tolist() == [0.0, 0.25, 0.75]
+
+    def test_no_rows(self):
+        got = reflection.reflect_batch(np.empty((0, 4)), np.empty(0), np.empty(0))
+        self._assert_same_bits(got, _where_image(np.empty((0, 4)), np.empty(0), np.empty(0)))
+
+    def test_peak_memory_stays_near_the_output(self):
+        # the np.where chain peaks at 3.25 times the output's bytes
+        rng = np.random.default_rng(44)
+        switches = np.sort(rng.uniform(0.0, 1.0, (20_000, 8)), axis=1)
+        t1 = rng.uniform(0.0, 0.5, 20_000)
+        t2 = t1 + 0.3
+        tracemalloc.start()
+        try:
+            out = reflection.reflect_batch(switches, t1, t2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes, peak / out.nbytes

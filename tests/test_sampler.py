@@ -1,6 +1,9 @@
 import dataclasses
 import functools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -659,6 +662,26 @@ class TestMcProbability:
         # the rows before the bad one reach the event as the constructor's paths
         assert seen == [TelegraphPath(MINUS, 1.0, row) for row in rows[:20].tolist()]
 
+    def test_paths_of_a_block_longer_than_a_slice(self):
+        # 2500 rows are two whole slices and a part of one
+        rng = RngStream(12, 0).generator()
+        signs = [PLUS if up else MINUS for up in (rng.random(2500) < 0.5).tolist()]
+        switches = sampler.sample_switches_batch(3, 1.0, 2500, rng)
+        assert len(switches) > 2 * sampler._PATH_SLICE
+        got = [(p.v0, p.horizon, p.switch_times) for p in sampler._paths(signs, switches, 1.0)]
+        want = [TelegraphPath(sign, 1.0, row) for sign, row in zip(signs, switches.tolist())]
+        assert got == [(p.v0, p.horizon, p.switch_times) for p in want]
+        assert all(type(times) is tuple for _, _, times in got)
+
+    def test_bad_row_past_the_first_slice_raises_the_constructor_message(self):
+        switches = sampler.sample_switches_batch(3, 1.0, 2500, RngStream(13, 0).generator())
+        switches[2000] = [0.2, 0.4, 0.4]
+        with pytest.raises(ValueError) as want:
+            TelegraphPath(MINUS, 1.0, [0.2, 0.4, 0.4])
+        with pytest.raises(ValueError) as got:
+            list(sampler._paths([MINUS] * 2500, switches, 1.0))
+        assert str(got.value) == str(want.value)
+
 
 class TestMcDensityHistogram:
     def test_position_histogram_matches_analytic(self):
@@ -862,25 +885,24 @@ class TestTasks:
               (None, 0.5), (None, 5.0), (None, 300.0)]
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """The ``max_workers`` of each pool ``_run_chunks`` opens; no thread starts."""
-        sizes = []
+    def helpers(self, monkeypatch):
+        """The helper threads ``_run_chunks`` starts; each runs its worker at ``start``,
+        on this thread, so no thread starts and the caller finds the queue empty."""
+        started = []
 
-        class SerialPool:  # stands in for ThreadPoolExecutor, mapping on this thread
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        class SerialThread:  # stands in for threading.Thread
+            def __init__(self, target):
+                self.target = target
 
-            def __enter__(self):
-                return self
+            def start(self):
+                started.append(self)
+                self.target()
 
-            def __exit__(self, *exc):
+            def join(self):
                 return None
 
-            def map(self, fn, items):
-                return list(map(fn, items))
-
-        monkeypatch.setattr(sampler, "ThreadPoolExecutor", SerialPool)
-        return sizes
+        monkeypatch.setattr(sampler, "Thread", SerialThread)
+        return started
 
     @staticmethod
     def _cpus(monkeypatch, cpus):
@@ -893,32 +915,34 @@ class TestTasks:
         monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 1 << 11)
         return chunks * sampler.CHUNK + extra
 
-    @pytest.mark.parametrize("threads, cpus, pool, tasks", [
-        (5000, 3, [3], [4, 4, 2]),
-        (5000, 64, [10], [1] * 10),
-        (2, 8, [2], [4, 4, 2]),
-        (8, 4, [4], [3, 3, 3, 1]),
-        (3, 1, [], [4, 4, 2]),
-        (1, 8, [], [4, 4, 2]),
+    # the workers, the caller and its helpers, are min(threads, tasks, CPUs)
+    @pytest.mark.parametrize("threads, cpus, workers, tasks", [
+        (5000, 3, 3, [4, 4, 2]),
+        (5000, 64, 10, [1] * 10),
+        (2, 8, 2, [4, 4, 2]),
+        (8, 4, 4, [3, 3, 3, 1]),
+        (3, 1, 1, [4, 4, 2]),
+        (1, 8, 1, [4, 4, 2]),
     ])
-    def test_pool_is_capped_at_tasks_and_cpus(self, monkeypatch, pool_sizes, threads, cpus,
-                                              pool, tasks):
+    def test_workers_are_capped_at_tasks_and_cpus(self, monkeypatch, helpers, threads, cpus,
+                                                  workers, tasks):
         self._cpus(monkeypatch, cpus)
         reps = 9 * sampler.CHUNK + 5
         got = sampler._run_chunks(lambda counts, rngs: counts, reps, 1, threads)
-        assert pool_sizes == pool
+        assert len(helpers) == workers - 1
         assert [len(counts) for counts in got] == tasks
         assert [m for counts in got for m in counts] == [sampler.CHUNK] * 9 + [5]
 
-    @pytest.mark.parametrize("cpu_count, pool", [(3, [3]), (None, [])])
-    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch, pool_sizes, cpu_count,
-                                                 pool):
+    @pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch, helpers, cpu_count,
+                                                 workers):
         monkeypatch.delattr(sampler.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpu_count)
-        sampler._run_chunks(lambda counts, rngs: counts, 9 * sampler.CHUNK + 5, 1, 5000)
-        assert pool_sizes == pool
+        got = sampler._run_chunks(lambda counts, rngs: counts, 9 * sampler.CHUNK + 5, 1, 5000)
+        assert len(helpers) == workers - 1
+        assert [m for counts in got for m in counts] == [sampler.CHUNK] * 9 + [5]
 
-    def test_capped_pool_keeps_the_estimate(self, monkeypatch, pool_sizes):
+    def test_capped_workers_keep_the_estimate(self, monkeypatch, helpers):
         def estimates(threads):
             bins = sampler.mc_density_histogram(
                 "return", MINUS, None, MotionParams(c=1.0, lam=5.0), 1.0, bins=20,
@@ -928,7 +952,50 @@ class TestTasks:
         want = estimates(1)
         self._cpus(monkeypatch, 2)
         assert estimates(5000) == want
-        assert pool_sizes == [2]
+        assert len(helpers) == 1
+
+    @staticmethod
+    def _joining(thread) -> bool:
+        """Whether ``thread`` waits in ``Thread.join``."""
+        frame = sys._current_frames().get(thread.ident)
+        while frame is not None and frame.f_code is not threading.Thread.join.__code__:
+            frame = frame.f_back
+        return frame is not None
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_failed_task_stops_later_tasks(self, monkeypatch, failing):
+        # 20 chunks are 5 tasks of 4 chunks on 2 workers, the caller and one helper
+        self._cpus(monkeypatch, 2)
+        caller, before = threading.current_thread(), threading.enumerate()
+        error = ValueError("helper task") if failing == "helper" else KeyboardInterrupt()
+        started, workers = [], {}
+        inside = {"caller": threading.Event(), "helper": threading.Event()}
+
+        def work(counts, rngs):
+            here = "caller" if threading.current_thread() is caller else "helper"
+            other = "helper" if here == "caller" else "caller"
+            started.append(here)
+            workers[here] = threading.current_thread()
+            inside[here].set()
+            assert inside[other].wait(timeout=30), "the workers did not both start a task"
+            if here == failing:
+                raise error
+            # hold this task until the failed worker has emptied the queue: a failed
+            # helper then ends, and a failed caller then waits for its helper
+            if failing == "helper":
+                workers["helper"].join(timeout=30)
+            else:
+                deadline = time.monotonic() + 30
+                while not self._joining(caller) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            return counts
+
+        with pytest.raises(type(error)) as raised:
+            sampler._run_chunks(work, 20 * sampler.CHUNK, 1, 2)
+        assert raised.value is error
+        # each worker started one task; the other three never started
+        assert sorted(started) == ["caller", "helper"]
+        assert threading.enumerate() == before
 
     @staticmethod
     def _histogram(functional, v0, n, lam, reps, seed):
