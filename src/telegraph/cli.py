@@ -100,7 +100,8 @@ def _default_seed(value: Optional[int]) -> int:
 _CELLS = ("beta", "x", "s")
 
 #: rows of an ``eval`` table, CSV lines or JSON objects, joined and written at a time;
-#: a 10^6-point JSON grid peaks at 143 MB RSS with 2^14 (CSV 137 MB), 216 MB with 2^16
+#: a 10^6-point JSON grid peaks at 143 MB RSS with 2^14 (CSV 137 MB), 216 MB with 2^16.
+#: ``reflect`` turns its records' arrays into Python lists this many rows at a time.
 _BLOCK_ROWS = 2 ** 14
 
 
@@ -264,19 +265,23 @@ RESIDUAL_TOL = 1e-12
 def _reflect_records(args, switches, xs, images, residuals, h, l) -> Iterable[str]:
     """One JSON record per reflected upward-start path, made as it is written:
     the path and its image, the level and endpoint, both crossing pairs, and
-    the largest switch-time error of the round trip."""
-    fields = zip(switches.tolist(), images.tolist(), xs.tolist(),
-                 map(CrossingPair, h.tolist(), l.tolist()), residuals.tolist())
-    for row, image, x, pair, residual in fields:
-        yield json.dumps({
-            "input": {"v0": VelocitySign.PLUS.value, "t": args.t, "switches": row},
-            "output": {"v0": VelocitySign.MINUS.value, "t": args.t, "switches": image},
-            "beta": args.beta,
-            "x": x,
-            "pair": [pair.h, pair.l],
-            "image_pair": [pair.image().h, pair.image().l],
-            "residual": residual,
-        })
+    the largest switch-time error of the round trip.  The arrays become
+    Python lists ``_BLOCK_ROWS`` rows at a time."""
+    for start in range(0, len(xs), _BLOCK_ROWS):
+        part = slice(start, start + _BLOCK_ROWS)
+        fields = zip(switches[part].tolist(), images[part].tolist(), xs[part].tolist(),
+                     map(CrossingPair, h[part].tolist(), l[part].tolist()),
+                     residuals[part].tolist())
+        for row, image, x, pair, residual in fields:
+            yield json.dumps({
+                "input": {"v0": VelocitySign.PLUS.value, "t": args.t, "switches": row},
+                "output": {"v0": VelocitySign.MINUS.value, "t": args.t, "switches": image},
+                "beta": args.beta,
+                "x": x,
+                "pair": [pair.h, pair.l],
+                "image_pair": [pair.image().h, pair.image().l],
+                "residual": residual,
+            })
 
 
 def cmd_reflect(args) -> int:

@@ -370,6 +370,14 @@ class TestReflect:
             assert rec["residual"] <= 1e-12
             assert rec["beta"] == 0.3
 
+    def test_records_are_the_same_across_row_blocks(self, capsys, monkeypatch):
+        argv = ("reflect", "--beta", "0.3", "--n", "3", "--count", "20", "--seed", "5")
+        whole = run_cli(capsys, *argv)
+        # 20 records are two whole blocks of 7 rows and part of a third
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+        assert run_cli(capsys, *argv) == whole
+        assert len(whole[1].splitlines()) == 20
+
     def test_single_switch_paths_are_supported(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -984,10 +984,12 @@ class TestTasks:
             # helper then ends, and a failed caller then waits for its helper
             if failing == "helper":
                 workers["helper"].join(timeout=30)
+                assert not workers["helper"].is_alive()
             else:
                 deadline = time.monotonic() + 30
                 while not self._joining(caller) and time.monotonic() < deadline:
                     time.sleep(0.001)
+                assert self._joining(caller)
             return counts
 
         with pytest.raises(type(error)) as raised:
@@ -996,6 +998,27 @@ class TestTasks:
         # each worker started one task; the other three never started
         assert sorted(started) == ["caller", "helper"]
         assert threading.enumerate() == before
+
+    def test_each_task_runs_once_in_order_under_contention(self, monkeypatch):
+        # 8 workers on 2 cores, switching threads every microsecond: 40 chunks are 10
+        # tasks of 4, and a task taken twice or a result lost would show
+        self._cpus(monkeypatch, 8)
+        want = [tuple(range(start, start + 4)) for start in range(0, 40, 4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran = []
+
+                def work(counts, rngs):
+                    task = tuple(rng.bit_generator.seed_seq.spawn_key[0] for rng in rngs)
+                    ran.append(task)
+                    return task
+
+                assert sampler._run_chunks(work, 40 * sampler.CHUNK, 1, 8) == want
+                assert sorted(ran) == want
+        finally:
+            sys.setswitchinterval(interval)
 
     @staticmethod
     def _histogram(functional, v0, n, lam, reps, seed):
